@@ -14,6 +14,7 @@
 #include "util/check.h"
 #include "util/flat_count_map.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/stop_token.h"
 
 namespace hsgf::core {
@@ -40,6 +41,8 @@ struct CensusConfig {
   // census-count increments of consecutive same-label new-node extensions
   // (one hash-map update per label group instead of one per neighbour).
   // Identical results either way; exposed for the ablation benchmark.
+  // Undirected only: a directed census counts one arc at a time, because a
+  // batched count would move its budget-truncation points.
   bool group_by_label = true;
 
   // Minimum remaining-segment length worth an indirect vector-kernel call in
@@ -50,7 +53,9 @@ struct CensusConfig {
   // path fires only on long hub runs, where it is free), while 16 was a
   // measured ~4% regression. Below the threshold the scan stays inline and
   // branchy — same predicate, same result. Tests set 1 to force every run
-  // through the kernels; a huge value forces pure scalar.
+  // through the kernels; a huge value keeps every scan inline, and so does
+  // the scalar ISA, whose kernel compares each candidate with every member
+  // where the inline loop reads one epoch stamp.
   size_t vector_scan_min = 64;
 
   // Pass each per-node linear hash contribution through a 64-bit finalizer
@@ -60,20 +65,6 @@ struct CensusConfig {
   // collide systematically. Mixing removes this failure mode at identical
   // asymptotic cost. Disable to study the unmixed variant.
   bool mix_contributions = true;
-
-  // Memoize per-node frontier snapshots (neighbour ids + labels) for nodes
-  // of degree >= kTemplateMinDegree and append frontiers by excising the
-  // current subgraph's members from the snapshot, instead of re-walking the
-  // adjacency with per-neighbour label loads. Pure memoization: the emitted
-  // candidate sequence is bit-identical either way (differential-tested).
-  // The snapshot cache persists across Run() calls on one worker — this is
-  // what multi-root batching shares between the roots of a batch — and is
-  // dropped by ClearFrontierCache(). Off by default: measured on a graph
-  // whose label/epoch arrays are cache-resident, rebuilding small frontiers
-  // beats the snapshot's second copy of the adjacency (which evicts more
-  // than it saves); turn it on when label gathers actually miss (labels far
-  // larger than LLC, or paged adjacency storage).
-  bool frontier_templates = false;
 
   // Safety budget: stop enumerating after this many subgraph occurrences
   // (0 = unlimited). Hub start nodes — which the dmax heuristic exempts —
@@ -142,9 +133,9 @@ struct CensusMetrics {
 
 namespace census_internal {
 
-// SplitMix64 finalizer; the identity on 0, bijective on 64-bit values.
-// simd::MixPair / MixBatch apply the same function lane-wise (simd_test
-// pins the two definitions together).
+// SplitMix64 finalizer; bijective on 64-bit values and the identity on 0,
+// which the census relies on (census_test pins it): the empty subgraph and
+// the start node before its first edge contribute 0 to the hash.
 inline uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -153,34 +144,56 @@ inline uint64_t Mix(uint64_t x) {
 
 }  // namespace census_internal
 
-// Enumerates all connected subgraphs (edge subsets) of `graph` that contain
-// a given start node and have 1..max_edges edges, counting them by encoding
-// hash. Exact and duplicate-free: each qualifying edge subset is visited
-// exactly once (ordered-extension enumeration with a forbidden-set
-// discipline). Thread-safe for concurrent Run() calls on distinct workers;
-// one worker holds O(V) scratch state and is reused across start nodes
-// (paper: memory O(tV + E) for t threads).
+// The directed side of the census graph concept (see BasicCensusWorker).
+template <typename G>
+concept DirectedCensusGraph = requires(const G& graph, graph::NodeId v) {
+  graph.successors(v);
+  graph.predecessors(v);
+  graph.total_degree(v);
+};
+
+// Enumerates all connected subgraphs (edge subsets; weakly connected arc
+// subsets on a directed graph) of `graph` that contain a given start node
+// and have 1..max_edges edges, counting them by encoding hash. Exact and
+// duplicate-free: each qualifying edge subset is visited exactly once
+// (ordered-extension enumeration with a forbidden-set discipline).
+// Thread-safe for concurrent Run() calls on distinct workers; one worker
+// holds O(V) scratch state and is reused across start nodes (paper: memory
+// O(tV + E) for t threads).
 //
-// The graph is a template parameter so the same enumeration runs over any
-// storage that models the census graph concept:
-//   num_nodes(), num_labels(), label(v), degree(v), neighbors(v)
-// with neighbors(v) returning a range of NodeId sorted by (label, id). The
-// worker consumes each neighbors(v) range immediately and never holds one
-// across another neighbors() call, so graph types may invalidate the range
-// on the next call (gstore::GraphView pages blocks in and out under this
-// exact contract). Enumeration order — and therefore every output, including
-// budget-truncation points — depends only on the neighbor sequences, not on
+// The graph is a template parameter, and the concept it models fixes the
+// orientation at compile time. Both share num_nodes(), num_labels() and
+// label(v), and every adjacency range is sorted by (label, id):
+//   - undirected: degree(v), neighbors(v). Each node has one count
+//     section, dmax reads degree(v), the hash uses the RollingHash powers
+//     and an encoding block is [label, counts_1..L] (encoding.h).
+//   - directed (DirectedCensusGraph): total_degree(v), successors(v),
+//     predecessors(v). Each node has two count sections, in and out: dmax
+//     reads total_degree(v), the hash uses two independent odd base
+//     families (out-bases drawn first, from hash_seed ^ 0x5851f42d4c957f2d)
+//     so antiparallel structure is told apart, and a block is
+//     [label, in_1..in_L, out_1..out_L] (directed_census.h).
+// Frontier, arena, hash bookkeeping, budget, StopToken, metrics and
+// materialization are shared. Only the label-grouping scan is undirected:
+// a directed census counts arcs one at a time, and the scan is compiled out
+// of it.
+//
+// The worker consumes each adjacency range immediately and never holds one
+// across another adjacency call, so graph types may invalidate the range on
+// the next call (gstore::GraphView pages blocks in and out under this exact
+// contract). Enumeration order — and therefore every output, including
+// budget-truncation points — depends only on the adjacency sequences, not on
 // the storage or on the SIMD dispatch level, which is what makes
 // compressed-vs-CSR and scalar-vs-vector censuses bit-identical.
 //
 // Inner-loop layout (the SIMD kernel contract): candidates live in a
 // structure-of-arrays arena (cand_to_ / cand_label_), segments carry their
-// shared `from` endpoint, and the current subgraph's nodes are mirrored in
-// the small member_nodes_ list — so when a grouping run is long enough
-// (CensusConfig::vector_scan_min) the scan is one simd::LabelRunLength call
-// over the segment instead of per-candidate label/epoch gathers, and the
-// per-run hash terms are computed once at the run head and installed per
-// child.
+// shared `from` endpoint and side, and the current subgraph's nodes are
+// mirrored in the small member_nodes_ list — so when a grouping run is long
+// enough (CensusConfig::vector_scan_min) the scan is one
+// simd::LabelRunLength call over the segment instead of per-candidate
+// label/epoch gathers, and the per-run hash terms are computed once at the
+// run head and installed per child.
 template <typename GraphT>
 class BasicCensusWorker {
  public:
@@ -202,33 +215,28 @@ class BasicCensusWorker {
   void Run(graph::NodeId start, CensusResult& result,
            util::StopToken stop = {});
 
-  // Drops the memoized frontier templates. The extractor calls this at
-  // multi-root batch boundaries: within a batch the cache is the shared
-  // sub-enumeration state, across batches it is dropped so worker memory
-  // stays bounded by the densest batch, not the whole traversal. Cost is
-  // O(#templates), not O(V): only the populated slots are reset.
-  void ClearFrontierCache() {
-    for (const FrontierTemplate& tmpl : templates_) {
-      template_slot_[tmpl.node] = kNoTemplate;
-    }
-    templates_.clear();
-    template_to_.clear();
-    template_label_.clear();
-    template_key_.clear();
-  }
-
  private:
+  static constexpr bool kDirected = DirectedCensusGraph<GraphT>;
+  // Count sections per node: in and out, which are one and the same section
+  // on an undirected graph.
+  static constexpr int kSides = kDirected ? 2 : 1;
+  static constexpr uint8_t kIn = 0;
+  static constexpr uint8_t kOut = kSides - 1;
+
   // Half-open range of candidates in the SoA arena (cand_to_/cand_label_).
   // A recursion frame's candidate list is a sequence of segments: ranges
   // inherited from ancestor frames (shared, never copied) followed by the
   // frame's own frontier, which is the only part appended to the arena.
-  // Every candidate in a segment shares the same in-subgraph endpoint —
-  // frontiers are appended per joining node and inherited segments are
-  // sub-ranges — so `from` lives here, not per candidate.
+  // Every candidate in a segment shares the same in-subgraph endpoint and
+  // side — frontiers are appended per joining node and side, and inherited
+  // segments are sub-ranges — so both live here, not per candidate.
   struct Segment {
     size_t begin;
     size_t end;  // exclusive; segments are never empty
     graph::NodeId from;
+    // The count section of `from` the candidate edges add to: kOut for arcs
+    // from -> to, kIn for arcs to -> from.
+    uint8_t side;
   };
 
   // Position inside a frame's segment list [seg, ...): `pos` indexes the
@@ -252,24 +260,30 @@ class BasicCensusWorker {
     uint64_t to_mixed_before;   // cycle-closing edges only
   };
 
-  // Memoized frontier snapshot of one node: its full neighbour list with
-  // labels, in adjacency order (sorted by (label, id)). The entries live in
-  // the flat template arenas (template_to_/template_label_/template_key_),
-  // not here — appending from a template is span copies out of those
-  // arenas, with no per-template pointer chase.
-  struct FrontierTemplate {
-    graph::NodeId node;  // owner, so ClearFrontierCache can reset its slot
-    size_t begin;        // range in the template arenas
-    size_t end;
-  };
+  // Side of a segment; the constant kIn on an undirected graph, so the
+  // undirected hot loop carries no side at run time.
+  static uint8_t SideOf(const Segment& segment) {
+    return kDirected ? segment.side : kIn;
+  }
+  // The other endpoint's section for an edge on `side`.
+  static uint8_t Opposite(uint8_t side) { return kOut - side; }
 
-  // Degree threshold for building templates: below it the scalar append is
-  // already a handful of loads and the snapshot would not pay for itself.
-  static constexpr size_t kTemplateMinDegree = 12;
-  // Cap on total cached template entries per worker (~5 MB at the cap);
-  // nodes past the cap fall back to the scalar append.
-  static constexpr size_t kTemplateEntryCap = size_t{1} << 20;
-  static constexpr uint32_t kNoTemplate = 0xffffffffu;
+  // The edge (from, to) on `side` as a (tail, head) pair: from -> to on the
+  // out side, to -> from on the in side.
+  static std::pair<graph::NodeId, graph::NodeId> Oriented(graph::NodeId from,
+                                                          graph::NodeId to,
+                                                          uint8_t side) {
+    if (side == kOut) return {from, to};
+    return {to, from};
+  }
+
+  // What a node labelled `a` adds to its linear contribution when it gains
+  // a neighbour labelled `b` in count section `side`: b_a^(b+1) from that
+  // section's base family.
+  uint64_t Power(uint8_t side, graph::Label a, graph::Label b) const {
+    const size_t n = static_cast<size_t>(num_effective_labels_);
+    return power_[(side * n + a) * n + b];
+  }
 
   // Effective label of a node (mask applied to the start node).
   graph::Label EffectiveLabel(graph::NodeId v) const;
@@ -280,36 +294,24 @@ class BasicCensusWorker {
 
   // True iff the dmax heuristic forbids expanding through v.
   bool IsBlocked(graph::NodeId v) const {
-    return config_.max_degree > 0 && v != start_ &&
-           graph_.degree(v) > config_.max_degree;
+    if (config_.max_degree <= 0 || v == start_) return false;
+    if constexpr (kDirected) {
+      return graph_.total_degree(v) > config_.max_degree;
+    } else {
+      return graph_.degree(v) > config_.max_degree;
+    }
   }
 
-  // Appends the frontier edges contributed by newly-joined node `w` (whose
-  // discovery edge came from `parent`): edges to nodes outside the subgraph
-  // plus cycle-closing edges into in-subgraph *blocked* nodes, which no one
-  // else offers. Honours dmax. The caller owns pushing the segment (with
-  // from == w) for whatever this appends.
-  void AppendFrontierOf(graph::NodeId w, graph::NodeId parent);
+  // Appends the frontier of newly-joined node `w` (or of the start node),
+  // one segment per side that offers a candidate. Honours dmax.
+  void AppendFrontierOf(graph::NodeId w);
 
-  // Frontier template for `w`, building (and caching) it on first sight.
-  // Returns nullptr when the cache entry budget is exhausted.
+  // Appends w's candidates among `adjacent` and pushes their segment:
+  // edges to nodes outside the subgraph plus cycle-closing edges into
+  // in-subgraph *blocked* nodes, which no one else offers.
   template <typename NeighborRange>
-  const FrontierTemplate* TemplateFor(graph::NodeId w,
-                                      const NeighborRange& neighbors);
-
-  // Appends template arena entries [first, last) to the candidate arena.
-  void AppendTemplateRange(size_t first, size_t last) {
-    if (first >= last) return;
-    cand_to_.insert(cand_to_.end(), template_to_.begin() + first,
-                    template_to_.begin() + last);
-    cand_label_.insert(cand_label_.end(), template_label_.begin() + first,
-                       template_label_.begin() + last);
-  }
-
-  // Template-backed frontier append: copies the snapshot wholesale, cutting
-  // out current members (except the kept cycle-closers). Emits exactly the
-  // candidate sequence the scalar walk in AppendFrontierOf emits.
-  void AppendFromTemplate(const FrontierTemplate& tmpl, graph::NodeId parent);
+  void AppendSide(graph::NodeId w, uint8_t side,
+                  const NeighborRange& adjacent);
 
   // Advances `c` one candidate forward within the frame whose segment list
   // ends at `seg_end`, hopping to the next segment when the current one is
@@ -340,15 +342,18 @@ class BasicCensusWorker {
   const GraphT& graph_;
   CensusConfig config_;
   CensusMetrics metrics_;
-  RollingHash hasher_;
   int num_effective_labels_;
 
-  // mixed_power_[la * num_effective_labels_ + lb] == the finalized hash
-  // contribution of a node that just joined with label lb via an edge from a
-  // label-la node: Mix(Power(lb, la)) (raw Power when mixing is off). A
-  // new node's post-join contribution depends only on the label pair, so
-  // the head loop reads this table instead of running the finalizer — that
-  // was one of the two Mix evaluations per head, ~5% of census time.
+  // power_[(side * L + a) * L + b] == Power(side, a, b), L the effective
+  // label count.
+  std::vector<uint64_t> power_;
+  // mixed_power_[(side * L + la) * L + lb] == the finalized hash
+  // contribution of a node that just joined with label lb via an edge on
+  // `side` of a label-la node: Mix(Power(Opposite(side), lb, la)) (raw
+  // Power when mixing is off). A new node's post-join contribution depends
+  // only on the side and label pair, so the head loop reads this table
+  // instead of running the finalizer — that was one of the two Mix
+  // evaluations per head, ~5% of census time.
   std::vector<uint64_t> mixed_power_;
 
   graph::NodeId start_ = -1;
@@ -359,9 +364,10 @@ class BasicCensusWorker {
   bool has_stop_ = false;
   int stop_countdown_ = kStopCheckInterval;
 
-  // Kernel table resolved once per Run() so the dispatch level cannot flip
-  // mid-census.
+  // Kernel table and grouping-scan threshold, resolved once per Run() so the
+  // dispatch level cannot flip mid-census.
   const simd::KernelTable* kernels_ = nullptr;
+  size_t scan_min_ = 0;
 
   // Per-node scratch, epoch-stamped so Run() needs no O(V) clear.
   std::vector<uint64_t> node_epoch_;
@@ -388,22 +394,9 @@ class BasicCensusWorker {
   std::vector<graph::NodeId> cand_to_;
   std::vector<graph::Label> cand_label_;
   std::vector<Segment> seg_stack_;  // per-frame segment lists, stack-shaped
+  // Applied edges as (tail, head) pairs (see Oriented).
   std::vector<std::pair<graph::NodeId, graph::NodeId>> edge_stack_;
   std::vector<EdgeUndo> undo_stack_;
-
-  // Frontier template cache (see CensusConfig::frontier_templates).
-  // template_slot_ is a direct-indexed node -> template map (kNoTemplate
-  // when absent): one predictable load on the append path, where a hash-map
-  // probe was measurably slower than just rebuilding small frontiers.
-  // Entries for all templates share three flat arenas; template_key_ holds
-  // (label << 32) | id so the member-excision search probes one contiguous
-  // uint64 array instead of comparing (label, id) tuples across two.
-  std::vector<uint32_t> template_slot_;
-  std::vector<FrontierTemplate> templates_;
-  std::vector<graph::NodeId> template_to_;
-  std::vector<graph::Label> template_label_;
-  std::vector<uint64_t> template_key_;
-  std::vector<size_t> cut_scratch_;  // member positions to excise, reused
 
   // Hot-loop instrumentation is accumulated into these plain per-worker
   // counters and flushed to the registry once per Run() (flush-on-Run
@@ -423,10 +416,10 @@ class BasicCensusWorker {
   // encoding path does not reallocate. Sized to the largest subgraph seen;
   // only the first |subgraph| entries are live per call.
   std::vector<graph::NodeId> scratch_nodes_;
-  std::vector<NodeSignature> scratch_signatures_;
+  std::vector<std::vector<uint8_t>> scratch_blocks_;
 };
 
-// The census worker every existing call site uses: the in-RAM CSR graph.
+// The census worker every undirected call site uses: the in-RAM CSR graph.
 using CensusWorker = BasicCensusWorker<graph::HetGraph>;
 
 // How an extraction session obtains a per-worker accessor for a graph type.
@@ -456,15 +449,11 @@ BasicCensusWorker<GraphT>::BasicCensusWorker(const GraphT& graph,
     : graph_(graph),
       config_(config),
       metrics_(std::move(metrics)),
-      hasher_(graph.num_labels() + (config.mask_start_label ? 1 : 0),
-              config.hash_seed),
       num_effective_labels_(graph.num_labels() +
                             (config.mask_start_label ? 1 : 0)),
       node_epoch_(graph.num_nodes(), 0),
       linear_contribution_(graph.num_nodes(), 0),
-      mixed_contribution_(graph.num_nodes(), 0),
-      template_slot_(config.frontier_templates ? graph.num_nodes() : 0,
-                     kNoTemplate) {
+      mixed_contribution_(graph.num_nodes(), 0) {
   HSGF_CHECK_GE(config_.max_edges, 1) << "census needs at least one edge";
   // Tolerate hooks registered for a smaller emax: missing per-edge-count
   // counters become inert instead of out-of-bounds.
@@ -474,14 +463,41 @@ BasicCensusWorker<GraphT>::BasicCensusWorker(const GraphT& graph,
   }
   batch_.subgraphs_by_edges.assign(static_cast<size_t>(config_.max_edges), 0);
   member_nodes_.reserve(static_cast<size_t>(config_.max_edges) + 1);
+
   const size_t n = static_cast<size_t>(num_effective_labels_);
-  mixed_power_.resize(n * n);
-  for (size_t la = 0; la < n; ++la) {
-    for (size_t lb = 0; lb < n; ++lb) {
-      const uint64_t p = hasher_.Power(static_cast<graph::Label>(lb),
-                                       static_cast<graph::Label>(la));
-      mixed_power_[la * n + lb] =
-          config_.mix_contributions ? census_internal::Mix(p) : p;
+  power_.resize(kSides * n * n);
+  if constexpr (kDirected) {
+    // Odd bases keep the multiplicative order high modulo 2^64; the draw
+    // order (all out-bases, then all in-bases) is part of the hash.
+    uint64_t state = config_.hash_seed ^ 0x5851f42d4c957f2dULL;
+    for (uint8_t side : {kOut, kIn}) {
+      std::vector<uint64_t> bases(n);
+      for (uint64_t& base : bases) base = util::SplitMix64(state) | 1ULL;
+      for (size_t a = 0; a < n; ++a) {
+        uint64_t p = bases[a];
+        for (size_t b = 0; b < n; ++b, p *= bases[a]) {
+          power_[(side * n + a) * n + b] = p;
+        }
+      }
+    }
+  } else {
+    const RollingHash hasher(num_effective_labels_, config_.hash_seed);
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = 0; b < n; ++b) {
+        power_[a * n + b] = hasher.Power(static_cast<graph::Label>(a),
+                                         static_cast<graph::Label>(b));
+      }
+    }
+  }
+  mixed_power_.resize(kSides * n * n);
+  for (uint8_t side = 0; side < kSides; ++side) {
+    for (size_t la = 0; la < n; ++la) {
+      for (size_t lb = 0; lb < n; ++lb) {
+        const uint64_t p = Power(Opposite(side), static_cast<graph::Label>(lb),
+                                 static_cast<graph::Label>(la));
+        mixed_power_[(side * n + la) * n + lb] =
+            config_.mix_contributions ? census_internal::Mix(p) : p;
+      }
     }
   }
 }
@@ -501,71 +517,7 @@ uint64_t BasicCensusWorker<GraphT>::MixedContribution(graph::NodeId v) const {
 }
 
 template <typename GraphT>
-template <typename NeighborRange>
-auto BasicCensusWorker<GraphT>::TemplateFor(graph::NodeId w,
-                                            const NeighborRange& neighbors)
-    -> const FrontierTemplate* {
-  const uint32_t slot = template_slot_[w];
-  if (slot != kNoTemplate) return &templates_[slot];
-  const size_t degree = neighbors.size();
-  const size_t begin = template_to_.size();
-  if (begin + degree > kTemplateEntryCap) return nullptr;
-  template_to_.insert(template_to_.end(), neighbors.begin(), neighbors.end());
-  template_label_.resize(begin + degree);
-  template_key_.resize(begin + degree);
-  for (size_t k = 0; k < degree; ++k) {
-    const graph::NodeId y = template_to_[begin + k];
-    const graph::Label l = graph_.label(y);
-    template_label_[begin + k] = l;
-    template_key_[begin + k] =
-        (static_cast<uint64_t>(l) << 32) | static_cast<uint32_t>(y);
-  }
-  HSGF_DCHECK(std::is_sorted(template_key_.begin() + begin,
-                             template_key_.end()))
-      << "adjacency of node " << w << " not sorted by (label, id)";
-  template_slot_[w] = static_cast<uint32_t>(templates_.size());
-  templates_.push_back({w, begin, begin + degree});
-  return &templates_.back();
-}
-
-template <typename GraphT>
-void BasicCensusWorker<GraphT>::AppendFromTemplate(
-    const FrontierTemplate& tmpl, graph::NodeId parent) {
-  // The positions to cut are exactly the in-subgraph neighbours that the
-  // scalar walk would skip: every member that occurs in the snapshot, minus
-  // the kept cycle-closers (blocked, not the discovery parent). The member
-  // list is tiny, so this is a handful of binary searches (over the packed
-  // (label, id) keys) plus bulk copies of the spans between cuts — no
-  // per-neighbour work.
-  const uint64_t* keys = template_key_.data();
-  cut_scratch_.clear();
-  for (graph::NodeId m : member_nodes_) {
-    const uint64_t key = (static_cast<uint64_t>(graph_.label(m)) << 32) |
-                         static_cast<uint32_t>(m);
-    const uint64_t* hit =
-        std::lower_bound(keys + tmpl.begin, keys + tmpl.end, key);
-    if (hit == keys + tmpl.end || *hit != key) continue;
-    if (IsBlocked(m) && m != parent) continue;  // kept as a cycle-closer
-    // Insertion sort on arrival: at most max_edges + 1 cuts, usually 1.
-    size_t pos = static_cast<size_t>(hit - keys);
-    size_t at = cut_scratch_.size();
-    cut_scratch_.push_back(pos);
-    while (at > 0 && cut_scratch_[at - 1] > pos) {
-      cut_scratch_[at] = cut_scratch_[at - 1];
-      cut_scratch_[--at] = pos;
-    }
-  }
-  size_t prev = tmpl.begin;
-  for (size_t cut : cut_scratch_) {
-    AppendTemplateRange(prev, cut);
-    prev = cut + 1;
-  }
-  AppendTemplateRange(prev, tmpl.end);
-}
-
-template <typename GraphT>
-void BasicCensusWorker<GraphT>::AppendFrontierOf(graph::NodeId w,
-                                                 graph::NodeId parent) {
+void BasicCensusWorker<GraphT>::AppendFrontierOf(graph::NodeId w) {
   // Frontier candidates are only collected for nodes that just joined the
   // subgraph; expanding an outside node would enumerate disconnected sets.
   HSGF_DCHECK(InSubgraph(w)) << "frontier expansion of node " << w
@@ -576,33 +528,37 @@ void BasicCensusWorker<GraphT>::AppendFrontierOf(graph::NodeId w,
     ++batch_.dmax_blocked;
     return;
   }
-  auto&& neighbors = graph_.neighbors(w);
-  if (config_.frontier_templates && neighbors.size() >= kTemplateMinDegree) {
-    if (const FrontierTemplate* tmpl = TemplateFor(w, neighbors)) {
-      AppendFromTemplate(*tmpl, parent);
-      return;
-    }
+  if constexpr (kDirected) {
+    AppendSide(w, kOut, graph_.successors(w));
+    AppendSide(w, kIn, graph_.predecessors(w));
+  } else {
+    AppendSide(w, kIn, graph_.neighbors(w));
   }
+}
+
+template <typename GraphT>
+template <typename NeighborRange>
+void BasicCensusWorker<GraphT>::AppendSide(graph::NodeId w, uint8_t side,
+                                           const NeighborRange& adjacent) {
   // Plain push_back append: resizing to the worst case up front and trimming
   // after (to skip the per-push capacity checks) was measured ~4% slower —
   // the two extra resize passes over the arena tail cost more than the
   // predictable capacity branches.
-  for (graph::NodeId y : neighbors) {
-    bool keep;
-    if (!InSubgraph(y)) {
-      keep = true;
-    } else {
-      // Edges back into the subgraph are normally offered by the other
-      // endpoint when *it* joins — but blocked nodes never offer their
-      // edges, so cycle-closing edges into an in-subgraph hub must be
-      // offered here (excluding w's own discovery edge). This keeps the
-      // enumerated set independent of candidate order and duplicate-free.
-      keep = IsBlocked(y) && y != parent;
-    }
-    if (keep) {
+  const size_t begin = cand_to_.size();
+  for (graph::NodeId y : adjacent) {
+    // Edges back into the subgraph are normally offered by the other
+    // endpoint when *it* joined — but blocked nodes never offer their
+    // edges, so cycle-closing edges into an in-subgraph hub are offered
+    // here. This keeps the enumerated set independent of candidate order
+    // and duplicate-free. w's own discovery edge needs no exclusion: its
+    // other endpoint offered a frontier, so it is not blocked.
+    if (!InSubgraph(y) || IsBlocked(y)) {
       cand_to_.push_back(y);
       cand_label_.push_back(graph_.label(y));
     }
+  }
+  if (cand_to_.size() > begin) {
+    seg_stack_.push_back({begin, cand_to_.size(), w, side});
   }
 }
 
@@ -613,9 +569,9 @@ Encoding BasicCensusWorker<GraphT>::MaterializeEncoding() {
   // Both scratch vectors are member-owned: only the first |subgraph| entries
   // are live, so repeated materializations allocate nothing once warm.
   scratch_nodes_.clear();
-  for (const auto& [u, v] : edge_stack_) {
-    scratch_nodes_.push_back(u);
-    scratch_nodes_.push_back(v);
+  for (const auto& [tail, head] : edge_stack_) {
+    scratch_nodes_.push_back(tail);
+    scratch_nodes_.push_back(head);
   }
   std::sort(scratch_nodes_.begin(), scratch_nodes_.end());
   scratch_nodes_.erase(
@@ -623,22 +579,32 @@ Encoding BasicCensusWorker<GraphT>::MaterializeEncoding() {
       scratch_nodes_.end());
   const size_t count = scratch_nodes_.size();
 
-  if (scratch_signatures_.size() < count) scratch_signatures_.resize(count);
+  // One block per node: [label, section kIn, section kOut], L counts each.
+  const size_t n = static_cast<size_t>(num_effective_labels_);
+  const size_t width = 1 + kSides * n;
+  if (scratch_blocks_.size() < count) scratch_blocks_.resize(count);
   for (size_t i = 0; i < count; ++i) {
-    scratch_signatures_[i].label = EffectiveLabel(scratch_nodes_[i]);
-    scratch_signatures_[i].neighbor_counts.assign(num_effective_labels_, 0);
+    scratch_blocks_[i].assign(width, 0);
+    scratch_blocks_[i][0] = EffectiveLabel(scratch_nodes_[i]);
   }
   auto index_of = [this](graph::NodeId v) {
     return static_cast<size_t>(
         std::lower_bound(scratch_nodes_.begin(), scratch_nodes_.end(), v) -
         scratch_nodes_.begin());
   };
-  for (const auto& [u, v] : edge_stack_) {
-    ++scratch_signatures_[index_of(u)].neighbor_counts[EffectiveLabel(v)];
-    ++scratch_signatures_[index_of(v)].neighbor_counts[EffectiveLabel(u)];
+  for (const auto& [tail, head] : edge_stack_) {
+    ++scratch_blocks_[index_of(head)][1 + kIn * n + EffectiveLabel(tail)];
+    ++scratch_blocks_[index_of(tail)][1 + kOut * n + EffectiveLabel(head)];
   }
-  return EncodeSignatureRange(scratch_signatures_.data(), count,
-                              num_effective_labels_);
+  std::sort(scratch_blocks_.begin(), scratch_blocks_.begin() + count,
+            DescendingBlockOrder);
+  Encoding encoding;
+  encoding.reserve(count * width);
+  for (size_t i = 0; i < count; ++i) {
+    encoding.insert(encoding.end(), scratch_blocks_[i].begin(),
+                    scratch_blocks_[i].end());
+  }
+  return encoding;
 }
 
 template <typename GraphT>
@@ -649,7 +615,8 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
   HSGF_DCHECK_LT(depth, config_.max_edges);
   HSGF_DCHECK_EQ(edge_stack_.size(), static_cast<size_t>(depth));
   const simd::KernelTable& kernels = *kernels_;
-  const size_t scan_min = config_.vector_scan_min;
+  const size_t scan_min = scan_min_;
+  const size_t n = static_cast<size_t>(num_effective_labels_);
   // Leaf frames have no child-apply work to hide the count-table miss
   // under, so prefetching there is pure overhead; non-leaf frames issue the
   // prefetch before the grouping scan and the apply loop covers the
@@ -686,6 +653,7 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
       }
     }
     const graph::NodeId head_from = seg_stack_[i.seg].from;
+    const uint8_t side = SideOf(seg_stack_[i.seg]);
     const graph::NodeId head_to = cand_to_[i.pos];
     const graph::Label head_label = cand_label_[i.pos];
     HSGF_DCHECK_EQ(head_label, EffectiveLabel(head_to));
@@ -700,23 +668,20 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
     const graph::Label la = EffectiveLabel(head_from);
     const graph::Label lb = head_label;
     const uint64_t from_linear_after =
-        linear_contribution_[head_from] + hasher_.Power(la, lb);
+        linear_contribution_[head_from] + Power(side, la, lb);
+    const uint64_t to_power = Power(Opposite(side), lb, la);
     const uint64_t to_linear_after =
-        head_is_new_node
-            ? hasher_.Power(lb, la)
-            : linear_contribution_[head_to] + hasher_.Power(lb, la);
-    // Finalizations inline here rather than going through an indirect
-    // kernel call (simd::MixPair is the same function lane-wise; the
-    // differential test would catch any drift): a new node's mixed
-    // contribution is a pure label-pair function served from mixed_power_,
-    // and the one remaining data-dependent Mix doesn't amortize a call.
+        head_is_new_node ? to_power : linear_contribution_[head_to] + to_power;
+    // The finalizations run inline: a new node's mixed contribution is a
+    // pure (side, label pair) function served from mixed_power_, and the
+    // one remaining data-dependent Mix is too small for a kernel call to
+    // amortize.
     const uint64_t from_mixed_after = config_.mix_contributions
                                           ? census_internal::Mix(from_linear_after)
                                           : from_linear_after;
     uint64_t to_mixed_after;
     if (head_is_new_node) {
-      to_mixed_after =
-          mixed_power_[static_cast<size_t>(la) * num_effective_labels_ + lb];
+      to_mixed_after = mixed_power_[(side * n + la) * n + lb];
       HSGF_DCHECK_EQ(to_mixed_after, config_.mix_contributions
                                          ? census_internal::Mix(to_linear_after)
                                          : to_linear_after);
@@ -733,37 +698,40 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
     Cursor j = i;
     Advance(j, seg_end);
     int64_t run = 1;
-    if (head_is_new_node && config_.group_by_label) {
-      // Heterogeneous optimization heuristic: consecutive candidates that
-      // extend the same subgraph node with a *new* neighbour of the same
-      // label all produce the same encoding (and hash); batch their count.
-      // Runs may span segment boundaries — adjacent segments were adjacent
-      // in the flat candidate list this layout replaces — and segments are
-      // from-homogeneous, so the per-candidate scan is one vector kernel
-      // call per touched segment (labels against head_label, ids against
-      // the member list).
-      while (j.seg < seg_end && seg_stack_[j.seg].from == head_from) {
-        const Segment& seg = seg_stack_[j.seg];
-        const size_t avail = seg.end - j.pos;
-        size_t ext;
-        if (avail >= scan_min) {
-          ext = kernels.label_run_length(
-              cand_to_.data() + j.pos, cand_label_.data() + j.pos, avail,
-              head_label, member_nodes_.data(), member_nodes_.size());
-        } else {
-          // Same predicate inline (the epoch stamp and the member list agree
-          // by construction); short stretches don't repay the kernel call.
-          ext = 0;
-          while (ext < avail && cand_label_[j.pos + ext] == head_label &&
-                 !InSubgraph(cand_to_[j.pos + ext])) {
-            ++ext;
+    if constexpr (!kDirected) {
+      if (head_is_new_node && config_.group_by_label) {
+        // Heterogeneous optimization heuristic: consecutive candidates that
+        // extend the same subgraph node with a *new* neighbour of the same
+        // label all produce the same encoding (and hash); batch their count.
+        // Runs may span segment boundaries — adjacent segments were adjacent
+        // in the flat candidate list this layout replaces — and segments are
+        // from-homogeneous, so the per-candidate scan is one vector kernel
+        // call per touched segment (labels against head_label, ids against
+        // the member list).
+        while (j.seg < seg_end && seg_stack_[j.seg].from == head_from) {
+          const Segment& seg = seg_stack_[j.seg];
+          const size_t avail = seg.end - j.pos;
+          size_t ext;
+          if (avail >= scan_min) {
+            ext = kernels.label_run_length(
+                cand_to_.data() + j.pos, cand_label_.data() + j.pos, avail,
+                head_label, member_nodes_.data(), member_nodes_.size());
+          } else {
+            // Same predicate inline (the epoch stamp and the member list
+            // agree by construction); short stretches don't repay the
+            // kernel call.
+            ext = 0;
+            while (ext < avail && cand_label_[j.pos + ext] == head_label &&
+                   !InSubgraph(cand_to_[j.pos + ext])) {
+              ++ext;
+            }
           }
+          run += static_cast<int64_t>(ext);
+          j.pos += ext;
+          if (j.pos < seg.end) break;
+          ++j.seg;
+          j.pos = j.seg < seg_end ? seg_stack_[j.seg].begin : 0;
         }
-        run += static_cast<int64_t>(ext);
-        j.pos += ext;
-        if (j.pos < seg.end) break;
-        ++j.seg;
-        j.pos = j.seg < seg_end ? seg_stack_[j.seg].begin : 0;
       }
     }
 
@@ -772,7 +740,7 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
     frame_subgraphs += run;
     if (run > 1) frame_saved += run - 1;
     if (config_.keep_encodings && !result.encodings.contains(hash_after)) {
-      edge_stack_.push_back({head_from, head_to});
+      edge_stack_.push_back(Oriented(head_from, head_to, side));
       result.encodings.emplace(hash_after, MaterializeEncoding());
       edge_stack_.pop_back();
       ++batch_.encoding_materializations;
@@ -809,7 +777,7 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
           node_epoch_[to] = epoch_;
           member_nodes_.push_back(to);
         }
-        edge_stack_.emplace_back(head_from, to);
+        edge_stack_.push_back(Oriented(head_from, to, side));
         // The child's candidate list: the rest of k's segment, the
         // remaining ancestor segments, then the child's own frontier —
         // all by reference except the frontier. Ancestor arena ranges
@@ -817,18 +785,16 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
         // resize back on unwind.
         const size_t child_seg_begin = seg_stack_.size();
         if (k.pos + 1 < seg_stack_[k.seg].end) {
-          seg_stack_.push_back(
-              {k.pos + 1, seg_stack_[k.seg].end, seg_stack_[k.seg].from});
+          Segment rest = seg_stack_[k.seg];
+          rest.begin = k.pos + 1;
+          seg_stack_.push_back(rest);
         }
         for (size_t s = k.seg + 1; s < seg_end; ++s) {
           const Segment inherited = seg_stack_[s];
           seg_stack_.push_back(inherited);
         }
         const size_t child_arena_begin = cand_to_.size();
-        if (head_is_new_node) AppendFrontierOf(to, head_from);
-        if (cand_to_.size() > child_arena_begin) {
-          seg_stack_.push_back({child_arena_begin, cand_to_.size(), to});
-        }
+        if (head_is_new_node) AppendFrontierOf(to);
         Extend(child_seg_begin, seg_stack_.size(), depth + 1, result);
         seg_stack_.resize(child_seg_begin);
         cand_to_.resize(child_arena_begin);
@@ -879,6 +845,12 @@ void BasicCensusWorker<GraphT>::Run(graph::NodeId start, CensusResult& result,
     mixed_contribution_[start] = MixedContribution(start);  // Mix(0) == 0
     current_hash_ = mixed_contribution_[start];
     kernels_ = &simd::ActiveKernels();
+    // The scalar kernel compares each candidate with every member where the
+    // inline scan reads one epoch stamp, so on the scalar ISA the kernel
+    // call cannot win: the scan stays inline whatever vector_scan_min says.
+    scan_min_ = kernels_ == simd::KernelsFor(simd::IsaLevel::kScalar)
+                    ? SIZE_MAX
+                    : config_.vector_scan_min;
 
     member_nodes_.clear();
     member_nodes_.push_back(start);
@@ -887,17 +859,10 @@ void BasicCensusWorker<GraphT>::Run(graph::NodeId start, CensusResult& result,
     seg_stack_.clear();
     edge_stack_.clear();
     undo_stack_.clear();
-    // The start node is always expanded, regardless of dmax. Frontier
-    // templates are skipped here on purpose: a start snapshot would be
-    // built and used exactly once per Run.
-    for (graph::NodeId y : graph_.neighbors(start)) {
-      cand_to_.push_back(y);
-      cand_label_.push_back(graph_.label(y));
-    }
-    if (!cand_to_.empty()) {
-      seg_stack_.push_back({0, cand_to_.size(), start});
-    }
-    Extend(0, seg_stack_.size(), 0, result);
+    // The start node is never blocked, so it is always expanded.
+    AppendFrontierOf(start);
+    const size_t root_segments = seg_stack_.size();
+    Extend(0, root_segments, 0, result);
     // The enumeration must unwind completely — even on truncation or stop —
     // or the epoch-stamped scratch poisons the next Run() on this worker.
     HSGF_DCHECK(edge_stack_.empty())
@@ -906,7 +871,7 @@ void BasicCensusWorker<GraphT>::Run(graph::NodeId start, CensusResult& result,
         << undo_stack_.size() << " undo records left after unwind";
     HSGF_DCHECK_EQ(member_nodes_.size(), size_t{1})
         << "member list not unwound to the start node";
-    HSGF_DCHECK_EQ(seg_stack_.size(), cand_to_.empty() ? size_t{0} : size_t{1})
+    HSGF_DCHECK_EQ(seg_stack_.size(), root_segments)
         << "segment stack not unwound to the root frame";
     HSGF_DCHECK_EQ(linear_contribution_[start], uint64_t{0})
         << "start-node hash contribution not restored";

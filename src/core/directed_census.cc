@@ -101,8 +101,7 @@ Encoding EncodeSmallDiGraph(const SmallDiGraph& graph, int num_labels) {
     }
     blocks.push_back(std::move(bytes));
   }
-  std::sort(blocks.begin(), blocks.end(),
-            directed_census_internal::DescendingBytes);
+  std::sort(blocks.begin(), blocks.end(), DescendingBlockOrder);
   Encoding encoding;
   encoding.reserve(blocks.size() * block);
   for (const auto& bytes : blocks) {
@@ -141,7 +140,7 @@ std::string DirectedEncodingToString(
 
 // Home of the digraph worker's code (see the extern template declaration in
 // directed_census.h).
-template class BasicDirectedCensusWorker<graph::DirectedHetGraph>;
+template class BasicCensusWorker<graph::DirectedHetGraph>;
 
 CensusResult RunDirectedCensus(const graph::DirectedHetGraph& graph,
                                graph::NodeId start,

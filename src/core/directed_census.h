@@ -1,15 +1,13 @@
 #ifndef HSGF_CORE_DIRECTED_CENSUS_H_
 #define HSGF_CORE_DIRECTED_CENSUS_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/census.h"
 #include "core/encoding.h"
 #include "graph/digraph.h"
-#include "util/check.h"
-#include "util/rng.h"
 
 namespace hsgf::core {
 
@@ -23,6 +21,11 @@ namespace hsgf::core {
 // subgraph*; blocks are sorted in descending lexicographic order exactly as
 // in the undirected encoding. The rolling hash uses two independent base
 // families (in/out), so antiparallel structure is distinguished.
+//
+// The enumerator is the undirected one: BasicCensusWorker (census.h) takes
+// its orientation from the graph type, so this header holds only the
+// directed encoding helpers, the one-shot RunDirectedCensus and the worker
+// aliases the directed call sites use.
 
 // A tiny labelled digraph used for encoding, tests and brute-force
 // verification (mirrors SmallGraph).
@@ -63,373 +66,25 @@ std::string DirectedEncodingToString(
     const Encoding& encoding, int num_labels,
     const std::vector<std::string>& label_names = {});
 
-namespace directed_census_internal {
-
-// Descending lexicographic block order (canonical encoding order). Routed
-// through the dispatched byte-compare kernel (memcmp semantics); a kernel
-// rather than std::lexicographical_compare because GCC's memcmp bound
-// analysis misfires on inlined vector<uint8_t> three-way compares under -O3.
-inline bool DescendingBytes(const std::vector<uint8_t>& a,
-                            const std::vector<uint8_t>& b) {
-  const size_t n = std::min(a.size(), b.size());
-  const int cmp = simd::CompareBytes(a.data(), b.data(), n);
-  if (cmp != 0) return cmp > 0;
-  return a.size() > b.size();
-}
-
-}  // namespace directed_census_internal
-
-// Rooted census over weakly-connected arc subsets with 1..max_edges arcs
-// containing the start node. Reuses CensusConfig (max_edges bounds arcs;
-// max_degree applies to total degree; group_by_label is accepted but the
-// directed worker always enumerates candidates individually).
-//
-// Like BasicCensusWorker, the graph is a template parameter; the directed
-// census concept is num_nodes(), num_labels(), label(v), total_degree(v),
-// successors(v), predecessors(v), both adjacency ranges sorted by
-// (label, id) and consumed immediately (never held across another adjacency
-// call), so demand-paged storages can back them with a single pinned block.
+// The directed census is BasicCensusWorker over a graph that models the
+// directed census concept (DirectedCensusGraph, census.h): num_nodes(),
+// num_labels(), label(v), total_degree(v), successors(v), predecessors(v),
+// both adjacency ranges sorted by (label, id). It enumerates weakly
+// connected arc subsets with 1..max_edges arcs containing the start node,
+// applies max_degree to the total degree, and counts arcs one at a time
+// (group_by_label does not apply). These aliases name it.
 template <typename GraphT>
-class BasicDirectedCensusWorker {
- public:
-  BasicDirectedCensusWorker(const GraphT& graph, const CensusConfig& config);
-
-  BasicDirectedCensusWorker(const BasicDirectedCensusWorker&) = delete;
-  BasicDirectedCensusWorker& operator=(const BasicDirectedCensusWorker&) =
-      delete;
-
-  void Run(graph::NodeId start, CensusResult& result);
-
- private:
-  struct CandidateArc {
-    graph::NodeId tail;
-    graph::NodeId head;
-  };
-
-  graph::Label EffectiveLabel(graph::NodeId v) const;
-  bool InSubgraph(graph::NodeId v) const { return node_epoch_[v] == epoch_; }
-  bool IsBlocked(graph::NodeId v) const {
-    return config_.max_degree > 0 && v != start_ &&
-           graph_.total_degree(v) > config_.max_degree;
-  }
-
-  uint64_t Contribution(uint64_t linear) const;
-  // Power of the out-base of `tail`'s label at `head`'s label index, and of
-  // the in-base of `head`'s label at `tail`'s label index.
-  uint64_t OutPower(graph::Label tail, graph::Label head) const {
-    return out_power_[static_cast<size_t>(tail) * num_effective_labels_ + head];
-  }
-  uint64_t InPower(graph::Label head, graph::Label tail) const {
-    return in_power_[static_cast<size_t>(head) * num_effective_labels_ + tail];
-  }
-
-  // Zero-copy candidate segments, mirroring CensusWorker: a frame's
-  // candidate list is inherited (begin, end) arena_ ranges from ancestor
-  // frames plus its own appended frontier, instead of a per-child tail
-  // copy.
-  struct Segment {
-    size_t begin;
-    size_t end;  // exclusive; segments are never empty
-  };
-  struct Cursor {
-    size_t seg;
-    size_t pos;
-  };
-
-  void Advance(Cursor& c, size_t seg_end) const {
-    if (++c.pos >= seg_stack_[c.seg].end) {
-      ++c.seg;
-      c.pos = c.seg < seg_end ? seg_stack_[c.seg].begin : 0;
-    }
-  }
-
-  graph::NodeId AddArc(const CandidateArc& arc);
-  void RemoveArc(const CandidateArc& arc, graph::NodeId added_node);
-  void AppendFrontierOf(graph::NodeId w, const CandidateArc& discovery);
-  void Extend(size_t seg_begin, size_t seg_end, int depth,
-              CensusResult& result);
-  Encoding MaterializeEncoding();
-
-  const GraphT& graph_;
-  CensusConfig config_;
-  int num_effective_labels_;
-  std::vector<uint64_t> out_power_;
-  std::vector<uint64_t> in_power_;
-
-  graph::NodeId start_ = -1;
-  uint64_t epoch_ = 0;
-  uint64_t current_hash_ = 0;
-  std::vector<uint64_t> node_epoch_;
-  std::vector<uint64_t> linear_contribution_;
-  // Finalized (mixed) form of linear_contribution_[v], maintained in
-  // lockstep; caching it halves the Mix work per arc add/remove because the
-  // old mixed value is read back instead of recomputed (the undirected
-  // worker's hash-hoist, applied to the AoS arc walk).
-  std::vector<uint64_t> mixed_contribution_;
-  std::vector<CandidateArc> arena_;  // frontier candidates, one run per frame
-  std::vector<Segment> seg_stack_;   // per-frame segment lists, stack-shaped
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> arc_stack_;
-
-  // Member-owned scratch for MaterializeEncoding (first |subgraph| entries
-  // live per call); avoids fresh allocations per distinct encoding.
-  std::vector<graph::NodeId> scratch_nodes_;
-  std::vector<std::vector<uint8_t>> scratch_blocks_;
-};
+using BasicDirectedCensusWorker = BasicCensusWorker<GraphT>;
 
 // The directed worker every existing call site uses: the in-RAM digraph.
-using DirectedCensusWorker = BasicDirectedCensusWorker<graph::DirectedHetGraph>;
+using DirectedCensusWorker = BasicCensusWorker<graph::DirectedHetGraph>;
 
 CensusResult RunDirectedCensus(const graph::DirectedHetGraph& graph,
                                graph::NodeId start,
                                const CensusConfig& config);
 
-// --- BasicDirectedCensusWorker implementation -------------------------------
-
-template <typename GraphT>
-BasicDirectedCensusWorker<GraphT>::BasicDirectedCensusWorker(
-    const GraphT& graph, const CensusConfig& config)
-    : graph_(graph),
-      config_(config),
-      num_effective_labels_(graph.num_labels() +
-                            (config.mask_start_label ? 1 : 0)),
-      node_epoch_(graph.num_nodes(), 0),
-      linear_contribution_(graph.num_nodes(), 0),
-      mixed_contribution_(graph.num_nodes(), 0) {
-  HSGF_CHECK_GE(config_.max_edges, 1);
-  // Two independent odd base families: one for in-, one for out-counts.
-  const int L = num_effective_labels_;
-  std::vector<uint64_t> out_bases(L);
-  std::vector<uint64_t> in_bases(L);
-  uint64_t state = config_.hash_seed ^ 0x5851f42d4c957f2dULL;
-  for (int l = 0; l < L; ++l) out_bases[l] = util::SplitMix64(state) | 1ULL;
-  for (int l = 0; l < L; ++l) in_bases[l] = util::SplitMix64(state) | 1ULL;
-  out_power_.resize(static_cast<size_t>(L) * L);
-  in_power_.resize(static_cast<size_t>(L) * L);
-  for (int a = 0; a < L; ++a) {
-    uint64_t po = out_bases[a];
-    uint64_t pi = in_bases[a];
-    for (int i = 0; i < L; ++i) {
-      out_power_[static_cast<size_t>(a) * L + i] = po;
-      in_power_[static_cast<size_t>(a) * L + i] = pi;
-      po *= out_bases[a];
-      pi *= in_bases[a];
-    }
-  }
-}
-
-template <typename GraphT>
-graph::Label BasicDirectedCensusWorker<GraphT>::EffectiveLabel(
-    graph::NodeId v) const {
-  if (config_.mask_start_label && v == start_) {
-    return static_cast<graph::Label>(graph_.num_labels());
-  }
-  return graph_.label(v);
-}
-
-template <typename GraphT>
-uint64_t BasicDirectedCensusWorker<GraphT>::Contribution(
-    uint64_t linear) const {
-  return config_.mix_contributions ? census_internal::Mix(linear) : linear;
-}
-
-template <typename GraphT>
-graph::NodeId BasicDirectedCensusWorker<GraphT>::AddArc(
-    const CandidateArc& arc) {
-  const graph::Label lt = EffectiveLabel(arc.tail);
-  const graph::Label lh = EffectiveLabel(arc.head);
-  const uint64_t tail_delta = OutPower(lt, lh);  // tail gains an out-neighbour
-  const uint64_t head_delta = InPower(lh, lt);   // head gains an in-neighbour
-  graph::NodeId added = -1;
-
-  // At most one endpoint is outside the subgraph (candidate invariant). The
-  // pre-edge mixed value is read from the cache instead of recomputed.
-  auto apply = [&](graph::NodeId v, uint64_t delta) {
-    if (InSubgraph(v)) {
-      current_hash_ -= mixed_contribution_[v];
-      linear_contribution_[v] += delta;
-      mixed_contribution_[v] = Contribution(linear_contribution_[v]);
-      current_hash_ += mixed_contribution_[v];
-    } else {
-      HSGF_DCHECK_EQ(added, -1)
-          << "both arc endpoints were outside the subgraph";
-      node_epoch_[v] = epoch_;
-      linear_contribution_[v] = delta;
-      mixed_contribution_[v] = Contribution(delta);
-      current_hash_ += mixed_contribution_[v];
-      added = v;
-    }
-  };
-  apply(arc.tail, tail_delta);
-  apply(arc.head, head_delta);
-  return added;
-}
-
-template <typename GraphT>
-void BasicDirectedCensusWorker<GraphT>::RemoveArc(const CandidateArc& arc,
-                                                  graph::NodeId added_node) {
-  const graph::Label lt = EffectiveLabel(arc.tail);
-  const graph::Label lh = EffectiveLabel(arc.head);
-  auto revert = [this](graph::NodeId v, uint64_t delta) {
-    current_hash_ -= mixed_contribution_[v];
-    linear_contribution_[v] -= delta;
-    mixed_contribution_[v] = Contribution(linear_contribution_[v]);
-    current_hash_ += mixed_contribution_[v];
-  };
-  if (added_node == arc.tail) {
-    current_hash_ -= mixed_contribution_[arc.tail];
-    node_epoch_[arc.tail] = 0;
-    revert(arc.head, InPower(lh, lt));
-  } else if (added_node == arc.head) {
-    current_hash_ -= mixed_contribution_[arc.head];
-    node_epoch_[arc.head] = 0;
-    revert(arc.tail, OutPower(lt, lh));
-  } else {
-    revert(arc.tail, OutPower(lt, lh));
-    revert(arc.head, InPower(lh, lt));
-  }
-}
-
-template <typename GraphT>
-void BasicDirectedCensusWorker<GraphT>::AppendFrontierOf(
-    graph::NodeId w, const CandidateArc& discovery) {
-  if (IsBlocked(w)) return;
-  auto offer = [&](graph::NodeId tail, graph::NodeId head,
-                   graph::NodeId other) {
-    if (!InSubgraph(other)) {
-      arena_.push_back({tail, head});
-    } else if (IsBlocked(other) &&
-               !(tail == discovery.tail && head == discovery.head)) {
-      // Blocked nodes never offer their own arcs; offer cycle closers here
-      // (excluding the discovery arc itself).
-      arena_.push_back({tail, head});
-    }
-  };
-  for (graph::NodeId y : graph_.successors(w)) offer(w, y, y);
-  for (graph::NodeId y : graph_.predecessors(w)) offer(y, w, y);
-}
-
-template <typename GraphT>
-Encoding BasicDirectedCensusWorker<GraphT>::MaterializeEncoding() {
-  // Member-owned scratch: only the first |subgraph| entries are live, so
-  // repeated materializations allocate nothing once warm.
-  scratch_nodes_.clear();
-  for (const auto& [t, h] : arc_stack_) {
-    scratch_nodes_.push_back(t);
-    scratch_nodes_.push_back(h);
-  }
-  std::sort(scratch_nodes_.begin(), scratch_nodes_.end());
-  scratch_nodes_.erase(
-      std::unique(scratch_nodes_.begin(), scratch_nodes_.end()),
-      scratch_nodes_.end());
-  const size_t count = scratch_nodes_.size();
-
-  const int L = num_effective_labels_;
-  const int block = 1 + 2 * L;
-  if (scratch_blocks_.size() < count) scratch_blocks_.resize(count);
-  auto index_of = [this](graph::NodeId v) {
-    return static_cast<size_t>(
-        std::lower_bound(scratch_nodes_.begin(), scratch_nodes_.end(), v) -
-        scratch_nodes_.begin());
-  };
-  for (size_t i = 0; i < count; ++i) {
-    scratch_blocks_[i].assign(block, 0);
-    scratch_blocks_[i][0] = EffectiveLabel(scratch_nodes_[i]);
-  }
-  for (const auto& [t, h] : arc_stack_) {
-    ++scratch_blocks_[index_of(h)][1 + EffectiveLabel(t)];      // in of head
-    ++scratch_blocks_[index_of(t)][1 + L + EffectiveLabel(h)];  // out of tail
-  }
-  std::sort(scratch_blocks_.begin(), scratch_blocks_.begin() + count,
-            directed_census_internal::DescendingBytes);
-  Encoding encoding;
-  encoding.reserve(count * block);
-  for (size_t i = 0; i < count; ++i) {
-    encoding.insert(encoding.end(), scratch_blocks_[i].begin(),
-                    scratch_blocks_[i].end());
-  }
-  return encoding;
-}
-
-template <typename GraphT>
-void BasicDirectedCensusWorker<GraphT>::Extend(size_t seg_begin,
-                                               size_t seg_end, int depth,
-                                               CensusResult& result) {
-  // Candidates are the concatenation of seg_stack_[seg_begin, seg_end)'s
-  // arena_ ranges — the same sequence the old per-child tail copy built,
-  // so enumeration order (and budget truncation) is bit-identical.
-  for (Cursor i{seg_begin, seg_begin < seg_end ? seg_stack_[seg_begin].begin
-                                               : 0};
-       i.seg < seg_end; Advance(i, seg_end)) {
-    if (config_.max_subgraphs > 0 &&
-        result.total_subgraphs >= config_.max_subgraphs) {
-      result.truncated = true;
-      return;
-    }
-    const CandidateArc arc = arena_[i.pos];
-    graph::NodeId added = AddArc(arc);
-    arc_stack_.emplace_back(arc.tail, arc.head);
-
-    result.counts.Add(current_hash_, 1);
-    ++result.total_subgraphs;
-    if (config_.keep_encodings &&
-        !result.encodings.contains(current_hash_)) {
-      result.encodings.emplace(current_hash_, MaterializeEncoding());
-    }
-
-    if (depth + 1 < config_.max_edges) {
-      // Child candidates: rest of i's segment, remaining ancestor
-      // segments, then the child's own frontier — references only.
-      const size_t child_seg_begin = seg_stack_.size();
-      if (i.pos + 1 < seg_stack_[i.seg].end) {
-        seg_stack_.push_back({i.pos + 1, seg_stack_[i.seg].end});
-      }
-      for (size_t s = i.seg + 1; s < seg_end; ++s) {
-        const Segment inherited = seg_stack_[s];
-        seg_stack_.push_back(inherited);
-      }
-      const size_t child_arena_begin = arena_.size();
-      if (added != -1) AppendFrontierOf(added, arc);
-      if (arena_.size() > child_arena_begin) {
-        seg_stack_.push_back({child_arena_begin, arena_.size()});
-      }
-      Extend(child_seg_begin, seg_stack_.size(), depth + 1, result);
-      seg_stack_.resize(child_seg_begin);
-      arena_.resize(child_arena_begin);
-    }
-    arc_stack_.pop_back();
-    RemoveArc(arc, added);
-    if (result.truncated) return;
-  }
-}
-
-template <typename GraphT>
-void BasicDirectedCensusWorker<GraphT>::Run(graph::NodeId start,
-                                            CensusResult& result) {
-  HSGF_CHECK(start >= 0 && start < graph_.num_nodes());
-  result.counts.Clear();
-  result.encodings.clear();
-  result.total_subgraphs = 0;
-  result.truncated = false;
-
-  start_ = start;
-  ++epoch_;
-  node_epoch_[start] = epoch_;
-  linear_contribution_[start] = 0;
-  mixed_contribution_[start] = Contribution(0);
-  current_hash_ = mixed_contribution_[start];
-
-  arena_.clear();
-  seg_stack_.clear();
-  arc_stack_.clear();
-  for (graph::NodeId y : graph_.successors(start)) arena_.push_back({start, y});
-  for (graph::NodeId y : graph_.predecessors(start)) arena_.push_back({y, start});
-  if (!arena_.empty()) seg_stack_.push_back({0, arena_.size()});
-  Extend(0, seg_stack_.size(), 0, result);
-  node_epoch_[start] = 0;
-}
-
 // The digraph instantiation lives in directed_census.cc (see census.h).
-extern template class BasicDirectedCensusWorker<graph::DirectedHetGraph>;
+extern template class BasicCensusWorker<graph::DirectedHetGraph>;
 
 }  // namespace hsgf::core
 

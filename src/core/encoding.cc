@@ -8,8 +8,8 @@
 
 namespace hsgf::core {
 
-Encoding EncodeSignatureRange(NodeSignature* signatures, size_t count,
-                              int num_labels) {
+Encoding EncodeSignatures(std::vector<NodeSignature> signatures,
+                          int num_labels) {
   HSGF_CHECK_GE(num_labels, 1);
   const int block = num_labels + 1;
   // Descending lexicographic block order (Eq. 2: s_v1 >= s_v2 >= ... >=
@@ -30,11 +30,10 @@ Encoding EncodeSignatureRange(NodeSignature* signatures, size_t count,
     if (cmp != 0) return cmp > 0;
     return a.neighbor_counts.size() > b.neighbor_counts.size();
   };
-  std::sort(signatures, signatures + count, descending);
+  std::sort(signatures.begin(), signatures.end(), descending);
   Encoding encoding;
-  encoding.reserve(count * block);
-  for (size_t i = 0; i < count; ++i) {
-    const NodeSignature& sig = signatures[i];
+  encoding.reserve(signatures.size() * block);
+  for (const NodeSignature& sig : signatures) {
     HSGF_DCHECK_EQ(static_cast<int>(sig.neighbor_counts.size()), num_labels);
     encoding.push_back(sig.label);
     encoding.insert(encoding.end(), sig.neighbor_counts.begin(),
@@ -42,16 +41,19 @@ Encoding EncodeSignatureRange(NodeSignature* signatures, size_t count,
   }
   // Canonicality (what makes equal subgraphs hash equal): fixed block size,
   // blocks in descending order.
-  HSGF_DCHECK_EQ(encoding.size(), count * block);
-  HSGF_DCHECK(std::is_sorted(signatures, signatures + count, descending))
+  HSGF_DCHECK_EQ(encoding.size(), signatures.size() * block);
+  HSGF_DCHECK(std::is_sorted(signatures.begin(), signatures.end(), descending))
       << "encoding blocks are not in canonical descending order";
   return encoding;
 }
 
-Encoding EncodeSignatures(std::vector<NodeSignature> signatures,
-                          int num_labels) {
-  return EncodeSignatureRange(signatures.data(), signatures.size(),
-                              num_labels);
+bool DescendingBlockOrder(const std::vector<uint8_t>& a,
+                          const std::vector<uint8_t>& b) {
+  // The byte-compare kernel for the same -O3 reason as above.
+  const size_t n = std::min(a.size(), b.size());
+  const int cmp = simd::CompareBytes(a.data(), b.data(), n);
+  if (cmp != 0) return cmp > 0;
+  return a.size() > b.size();
 }
 
 Encoding EncodeSmallGraph(const SmallGraph& graph, int num_labels) {

@@ -47,13 +47,12 @@ struct NodeSignature {
 Encoding EncodeSignatures(std::vector<NodeSignature> signatures,
                           int num_labels);
 
-// Allocation-light variant for hot callers (the census materializes one
-// encoding per *distinct* hash): sorts the first `count` signatures into
-// canonical descending order in place — reordering swaps the signatures'
-// heap buffers rather than copying them — and serializes them directly into
-// the returned encoding. The signatures stay valid for reuse.
-Encoding EncodeSignatureRange(NodeSignature* signatures, size_t count,
-                              int num_labels);
+// Canonical block order for callers that build encoding blocks as byte
+// strings (the census, for both orientations, and the directed encoding):
+// true iff block `a` sorts before `b`, i.e. `a` is lexicographically
+// greater. Blocks of one encoding have equal length.
+bool DescendingBlockOrder(const std::vector<uint8_t>& a,
+                          const std::vector<uint8_t>& b);
 
 // Encodes a SmallGraph over a label universe of size num_labels (must be
 // >= graph.MaxLabelPlusOne()). Isolated nodes are included as all-zero

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "simd/kernels.h"
 #include "util/rng.h"
 
 namespace hsgf::core {
@@ -46,16 +45,14 @@ uint64_t RollingHash::HashSmallGraph(const SmallGraph& graph) const {
 uint64_t RollingHash::HashEncoding(const Encoding& encoding) const {
   auto signatures = DecodeEncoding(encoding, num_labels_);
   assert(signatures.has_value());
-  // Eq. 5 per node is a dot product of the u8 neighbour-count row against
-  // the label's power row; the dispatched kernel widens and sums mod 2^64
-  // (commutative, so vector accumulation order cannot change the result).
-  const simd::KernelTable& kernels = simd::ActiveKernels();
+  // Eq. 5 per node: the neighbour-count row dotted with the label's power
+  // row, summed mod 2^64.
   uint64_t hash = 0;
   for (const NodeSignature& sig : *signatures) {
-    const uint64_t* powers =
-        power_.data() + static_cast<size_t>(sig.label) * num_labels_;
-    hash += kernels.dot_u8_u64(sig.neighbor_counts.data(), powers,
-                               static_cast<size_t>(num_labels_));
+    for (int l = 0; l < num_labels_; ++l) {
+      hash += static_cast<uint64_t>(sig.neighbor_counts[l]) *
+              Power(sig.label, static_cast<graph::Label>(l));
+    }
   }
   return hash;
 }

@@ -484,7 +484,7 @@ namespace hsgf::core {
 // Home of the paged-graph worker instantiations, mirroring census.cc /
 // extractor.cc for the CSR types.
 template class BasicCensusWorker<gstore::GraphView>;
-template class BasicDirectedCensusWorker<gstore::DirectedGraphView>;
+template class BasicCensusWorker<gstore::DirectedGraphView>;
 template class BasicExtractor<gstore::CompressedGraph>;
 
 }  // namespace hsgf::core

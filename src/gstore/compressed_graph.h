@@ -321,7 +321,7 @@ struct CensusAccess<gstore::CompressedGraph> {
 // Instantiated once in compressed_graph.cc, like the CSR workers in
 // census.cc / extractor.cc.
 extern template class BasicCensusWorker<gstore::GraphView>;
-extern template class BasicDirectedCensusWorker<gstore::DirectedGraphView>;
+extern template class BasicCensusWorker<gstore::DirectedGraphView>;
 extern template class BasicExtractor<gstore::CompressedGraph>;
 
 }  // namespace hsgf::core

@@ -11,9 +11,8 @@ namespace hsgf::simd {
 // The vectorized primitives the census hot loops are written against. Every
 // entry has one canonical scalar definition (kernels_scalar.cc) and optional
 // per-ISA variants selected at runtime; all variants are bit-identical by
-// contract — same results, same wraparound arithmetic, no reordering that a
-// caller could observe (u64 sums are mod-2^64 commutative, so vector
-// accumulation trees are fine; comparisons return positions, not masks).
+// contract — same results, no reordering that a caller could observe
+// (comparisons return positions, not masks).
 struct KernelTable {
   // Length of the leading label run: the number of consecutive entries at
   // the front of (to[i], label[i]), i < n, with label[i] == run_label and
@@ -31,19 +30,6 @@ struct KernelTable {
   // GCC's -O3 bound analysis misfires on inlined std::lexicographical
   // compares over vector<uint8_t>; see encoding.cc).
   int (*compare_bytes)(const uint8_t* a, const uint8_t* b, size_t n);
-
-  // SplitMix64 finalization of two independent lanes (the census Mix step
-  // for the two endpoint contributions an edge changes): *a = Mix(*a),
-  // *b = Mix(*b).
-  void (*mix_pair)(uint64_t* a, uint64_t* b);
-
-  // out[i] = Mix(in[i]) for i < n. `in` and `out` may alias exactly.
-  void (*mix_batch)(const uint64_t* in, uint64_t* out, size_t n);
-
-  // Σ_i counts[i] * weights[i] mod 2^64 — the rolling-hash Eq. 5 dot
-  // product of a signature's neighbour counts against a label's power row.
-  uint64_t (*dot_u8_u64)(const uint8_t* counts, const uint64_t* weights,
-                         size_t n);
 };
 
 // Table for the currently active ISA level (see dispatch.h). The pointer
@@ -67,16 +53,6 @@ inline size_t LabelRunLength(const int32_t* to, const uint8_t* label,
 inline int CompareBytes(const uint8_t* a, const uint8_t* b, size_t n) {
   return ActiveKernels().compare_bytes(a, b, n);
 }
-inline void MixPair(uint64_t* a, uint64_t* b) {
-  ActiveKernels().mix_pair(a, b);
-}
-inline void MixBatch(const uint64_t* in, uint64_t* out, size_t n) {
-  ActiveKernels().mix_batch(in, out, n);
-}
-inline uint64_t DotU8U64(const uint8_t* counts, const uint64_t* weights,
-                         size_t n) {
-  return ActiveKernels().dot_u8_u64(counts, weights, n);
-}
 
 namespace internal {
 
@@ -87,10 +63,6 @@ size_t LabelRunLengthScalar(const int32_t* to, const uint8_t* label, size_t n,
                             uint8_t run_label, const int32_t* members,
                             size_t num_members);
 int CompareBytesScalar(const uint8_t* a, const uint8_t* b, size_t n);
-void MixPairScalar(uint64_t* a, uint64_t* b);
-void MixBatchScalar(const uint64_t* in, uint64_t* out, size_t n);
-uint64_t DotU8U64Scalar(const uint8_t* counts, const uint64_t* weights,
-                        size_t n);
 
 const KernelTable* ScalarKernels();  // always available
 const KernelTable* Sse2Kernels();  // nullptr unless compiled for x86-64

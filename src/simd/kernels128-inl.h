@@ -5,10 +5,6 @@
 // the SSE2 and NEON translation units compile the same logic against their
 // native vector types. Include only from kernel TUs (after simd.h has
 // defined HSGF_SIMD_X128); everything here has internal linkage.
-//
-// The multiply-based kernels (mix, dot) are guarded out on NEON, which has
-// no 64-bit vector multiply — the NEON table falls back to the scalar
-// reference for those entries.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,48 +62,6 @@ int CompareBytes128(const uint8_t* a, const uint8_t* b, size_t n) {
   }
   return CompareBytesScalar(a + i, b + i, n - i);
 }
-
-#if !defined(HSGF_SIMD_NEON)
-
-// Two independent SplitMix64 finalizations in the two 64-bit lanes.
-inline V128 MixLanes128(V128 x) {
-  x = MulLow64(Xor128(x, ShiftRight64<30>(x)),
-               Splat64(0xbf58476d1ce4e5b9ULL));
-  x = MulLow64(Xor128(x, ShiftRight64<27>(x)),
-               Splat64(0x94d049bb133111ebULL));
-  return Xor128(x, ShiftRight64<31>(x));
-}
-
-void MixPair128(uint64_t* a, uint64_t* b) {
-  uint64_t lanes[2] = {*a, *b};
-  Store128(lanes, MixLanes128(Load128(lanes)));
-  *a = lanes[0];
-  *b = lanes[1];
-}
-
-void MixBatch128(const uint64_t* in, uint64_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    Store128(out + i, MixLanes128(Load128(in + i)));
-  }
-  if (i < n) MixBatchScalar(in + i, out + i, n - i);
-}
-
-uint64_t DotU8U64_128(const uint8_t* counts, const uint64_t* weights,
-                      size_t n) {
-  V128 acc = Splat64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64_t lanes[2] = {counts[i], counts[i + 1]};
-    acc = Add64(acc, MulLow64(Load128(lanes), Load128(weights + i)));
-  }
-  // mod-2^64 addition commutes, so lane order does not affect the result.
-  uint64_t sum = ExtractLane64(acc, 0) + ExtractLane64(acc, 1);
-  for (; i < n; ++i) sum += static_cast<uint64_t>(counts[i]) * weights[i];
-  return sum;
-}
-
-#endif  // !HSGF_SIMD_NEON
 
 }  // namespace
 }  // namespace hsgf::simd::internal

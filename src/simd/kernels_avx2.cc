@@ -53,63 +53,10 @@ int CompareBytes256(const uint8_t* a, const uint8_t* b, size_t n) {
   return CompareBytesScalar(a + i, b + i, n - i);
 }
 
-inline V256 MixLanes256(V256 x) {
-  x = MulLow64x4(Xor256(x, ShiftRight64x4<30>(x)),
-                 Splat64x4(0xbf58476d1ce4e5b9ULL));
-  x = MulLow64x4(Xor256(x, ShiftRight64x4<27>(x)),
-                 Splat64x4(0x94d049bb133111ebULL));
-  return Xor256(x, ShiftRight64x4<31>(x));
-}
-
-inline V128 MixLanes128V(V128 x) {
-  x = MulLow64(Xor128(x, ShiftRight64<30>(x)),
-               Splat64(0xbf58476d1ce4e5b9ULL));
-  x = MulLow64(Xor128(x, ShiftRight64<27>(x)),
-               Splat64(0x94d049bb133111ebULL));
-  return Xor128(x, ShiftRight64<31>(x));
-}
-
-void MixPairV(uint64_t* a, uint64_t* b) {
-  uint64_t lanes[2] = {*a, *b};
-  Store128(lanes, MixLanes128V(Load128(lanes)));
-  *a = lanes[0];
-  *b = lanes[1];
-}
-
-void MixBatch256(const uint64_t* in, uint64_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    Store256(out + i, MixLanes256(Load256(in + i)));
-  }
-  for (; i + 2 <= n; i += 2) {
-    Store128(out + i, MixLanes128V(Load128(in + i)));
-  }
-  if (i < n) MixBatchScalar(in + i, out + i, n - i);
-}
-
-uint64_t DotU8U64_256(const uint8_t* counts, const uint64_t* weights,
-                      size_t n) {
-  V256 acc = Splat64x4(0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = Add64x4(acc,
-                  MulLow64x4(WidenLoad4x8To64(counts + i), Load256(weights + i)));
-  }
-  uint64_t lanes[4];
-  Store256(lanes, acc);
-  // mod-2^64 addition commutes, so lane order does not affect the result.
-  uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += static_cast<uint64_t>(counts[i]) * weights[i];
-  return sum;
-}
-
 }  // namespace
 
 const KernelTable* Avx2Kernels() {
-  static const KernelTable table = {
-      &LabelRunLength256, &CompareBytes256, &MixPairV,
-      &MixBatch256,       &DotU8U64_256,
-  };
+  static const KernelTable table = {&LabelRunLength256, &CompareBytes256};
   return &table;
 }
 

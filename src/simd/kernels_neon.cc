@@ -1,6 +1,4 @@
-// NEON kernel table (aarch64 baseline). NEON has no 64-bit vector multiply,
-// so the SplitMix64-based entries borrow the scalar reference — aarch64
-// scalar MUL pipelines the two independent mix chains well anyway.
+// NEON kernel table (aarch64 baseline).
 #include "simd/kernels.h"
 #include "simd/simd.h"
 
@@ -11,10 +9,7 @@
 namespace hsgf::simd::internal {
 
 const KernelTable* NeonKernels() {
-  static const KernelTable table = {
-      &LabelRunLength128, &CompareBytes128, &MixPairScalar,
-      &MixBatchScalar,    &DotU8U64Scalar,
-  };
+  static const KernelTable table = {&LabelRunLength128, &CompareBytes128};
   return &table;
 }
 

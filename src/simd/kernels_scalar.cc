@@ -6,18 +6,6 @@
 
 namespace hsgf::simd::internal {
 
-namespace {
-
-// SplitMix64 finalizer — must stay in lockstep with census_internal::Mix
-// (core/census.h); simd_test pins the two together.
-inline uint64_t Mix1(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 size_t LabelRunLengthScalar(const int32_t* to, const uint8_t* label, size_t n,
                             uint8_t run_label, const int32_t* members,
                             size_t num_members) {
@@ -38,29 +26,9 @@ int CompareBytesScalar(const uint8_t* a, const uint8_t* b, size_t n) {
   return 0;
 }
 
-void MixPairScalar(uint64_t* a, uint64_t* b) {
-  *a = Mix1(*a);
-  *b = Mix1(*b);
-}
-
-void MixBatchScalar(const uint64_t* in, uint64_t* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = Mix1(in[i]);
-}
-
-uint64_t DotU8U64Scalar(const uint8_t* counts, const uint64_t* weights,
-                        size_t n) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sum += static_cast<uint64_t>(counts[i]) * weights[i];
-  }
-  return sum;
-}
-
 const KernelTable* ScalarKernels() {
-  static const KernelTable table = {
-      &LabelRunLengthScalar, &CompareBytesScalar, &MixPairScalar,
-      &MixBatchScalar,       &DotU8U64Scalar,
-  };
+  static const KernelTable table = {&LabelRunLengthScalar,
+                                    &CompareBytesScalar};
   return &table;
 }
 

@@ -11,10 +11,7 @@
 namespace hsgf::simd::internal {
 
 const KernelTable* Sse2Kernels() {
-  static const KernelTable table = {
-      &LabelRunLength128, &CompareBytes128, &MixPair128,
-      &MixBatch128,       &DotU8U64_128,
-  };
+  static const KernelTable table = {&LabelRunLength128, &CompareBytes128};
   return &table;
 }
 

@@ -8,10 +8,10 @@
 //   x86-64 -mavx2 TU    -> plus 256-bit wrappers        (HSGF_SIMD_X256)
 //   aarch64 TU          -> 128-bit wrappers over NEON   (HSGF_SIMD_X128)
 //
-// The wrappers are deliberately tiny: unaligned loads/stores, lane splats,
-// equality compares, boolean combines, 64-bit lane arithmetic for the
-// SplitMix64 finalizer, and first-set-lane extraction. Anything a kernel
-// needs beyond this belongs here, not inline in a kernel — this file is the
+// The wrappers are deliberately tiny: unaligned loads, lane splats, widening
+// byte loads, equality compares, boolean combines and first-set-lane
+// extraction — exactly what the kernels use. Anything a kernel needs beyond
+// this belongs here, not inline in a kernel — this file is the
 // only place in the tree allowed to name raw intrinsics outside the lint
 // exemption list (tools/hsgf_lint.py, raw-intrinsics rule).
 //
@@ -57,35 +57,11 @@ inline V128 Load128(const void* p) {
 #endif
 }
 
-inline void Store128(void* p, V128 v) {
-#if defined(HSGF_SIMD_NEON)
-  vst1q_u8(static_cast<uint8_t*>(p), v.raw);
-#else
-  _mm_storeu_si128(static_cast<__m128i*>(p), v.raw);
-#endif
-}
-
-inline V128 Splat8(uint8_t x) {
-#if defined(HSGF_SIMD_NEON)
-  return {vdupq_n_u8(x)};
-#else
-  return {_mm_set1_epi8(static_cast<char>(x))};
-#endif
-}
-
 inline V128 Splat32(int32_t x) {
 #if defined(HSGF_SIMD_NEON)
   return {vreinterpretq_u8_s32(vdupq_n_s32(x))};
 #else
   return {_mm_set1_epi32(x)};
-#endif
-}
-
-inline V128 Splat64(uint64_t x) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_u64(vdupq_n_u64(x))};
-#else
-  return {_mm_set1_epi64x(static_cast<long long>(x))};
 #endif
 }
 
@@ -115,48 +91,11 @@ inline V128 Or128(V128 a, V128 b) {
 #endif
 }
 
-inline V128 Xor128(V128 a, V128 b) {
-#if defined(HSGF_SIMD_NEON)
-  return {veorq_u8(a.raw, b.raw)};
-#else
-  return {_mm_xor_si128(a.raw, b.raw)};
-#endif
-}
-
 inline V128 Not128(V128 a) {
 #if defined(HSGF_SIMD_NEON)
   return {vmvnq_u8(a.raw)};
 #else
   return {_mm_xor_si128(a.raw, _mm_set1_epi32(-1))};
-#endif
-}
-
-inline V128 Add64(V128 a, V128 b) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_u64(vaddq_u64(vreinterpretq_u64_u8(a.raw),
-                                         vreinterpretq_u64_u8(b.raw)))};
-#else
-  return {_mm_add_epi64(a.raw, b.raw)};
-#endif
-}
-
-template <int kShift>
-inline V128 ShiftRight64(V128 a) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_u64(
-      vshrq_n_u64(vreinterpretq_u64_u8(a.raw), kShift))};
-#else
-  return {_mm_srli_epi64(a.raw, kShift)};
-#endif
-}
-
-template <int kShift>
-inline V128 ShiftLeft64(V128 a) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_u64(
-      vshlq_n_u64(vreinterpretq_u64_u8(a.raw), kShift))};
-#else
-  return {_mm_slli_epi64(a.raw, kShift)};
 #endif
 }
 
@@ -198,44 +137,6 @@ inline unsigned FirstSetByte128(V128 mask) {
 #endif
 }
 
-inline bool AnySet128(V128 mask) {
-#if defined(HSGF_SIMD_NEON)
-  return vmaxvq_u8(mask.raw) != 0;
-#else
-  return _mm_movemask_epi8(mask.raw) != 0;
-#endif
-}
-
-inline bool AllSet128(V128 mask) {
-#if defined(HSGF_SIMD_NEON)
-  return vminvq_u8(mask.raw) == 0xff;
-#else
-  return _mm_movemask_epi8(mask.raw) == 0xffff;
-#endif
-}
-
-// Low 64 bits of the lane-wise 64x64 product. Neither SSE2 nor AVX2 has a
-// native epi64 low multiply (that is AVX-512DQ), so it is synthesized from
-// 32x32->64 partial products: lo(a*b) = lo32(a)*lo32(b)
-// + ((lo32(a)*hi32(b) + hi32(a)*lo32(b)) << 32). NEON has no 64-bit vector
-// multiply at all; NEON TUs use the scalar mix instead (kernels_neon.cc).
-#if !defined(HSGF_SIMD_NEON)
-inline V128 MulLow64(V128 a, V128 b) {
-  const __m128i a_hi = _mm_srli_epi64(a.raw, 32);
-  const __m128i b_hi = _mm_srli_epi64(b.raw, 32);
-  const __m128i lo_lo = _mm_mul_epu32(a.raw, b.raw);
-  const __m128i cross = _mm_add_epi64(_mm_mul_epu32(a_hi, b.raw),
-                                      _mm_mul_epu32(a.raw, b_hi));
-  return {_mm_add_epi64(lo_lo, _mm_slli_epi64(cross, 32))};
-}
-#endif
-
-inline uint64_t ExtractLane64(V128 a, int lane) {
-  uint64_t lanes[2];
-  Store128(lanes, a);
-  return lanes[lane];
-}
-
 #endif  // HSGF_SIMD_X128
 
 #if defined(HSGF_SIMD_X256)
@@ -248,19 +149,7 @@ inline V256 Load256(const void* p) {
   return {_mm256_loadu_si256(static_cast<const __m256i*>(p))};
 }
 
-inline void Store256(void* p, V256 v) {
-  _mm256_storeu_si256(static_cast<__m256i*>(p), v.raw);
-}
-
-inline V256 Splat8x32(uint8_t x) {
-  return {_mm256_set1_epi8(static_cast<char>(x))};
-}
-
 inline V256 Splat32x8(int32_t x) { return {_mm256_set1_epi32(x)}; }
-
-inline V256 Splat64x4(uint64_t x) {
-  return {_mm256_set1_epi64x(static_cast<long long>(x))};
-}
 
 inline V256 CmpEq8x32(V256 a, V256 b) {
   return {_mm256_cmpeq_epi8(a.raw, b.raw)};
@@ -276,32 +165,11 @@ inline V256 Xor256(V256 a, V256 b) {
   return {_mm256_xor_si256(a.raw, b.raw)};
 }
 
-inline V256 Add64x4(V256 a, V256 b) {
-  return {_mm256_add_epi64(a.raw, b.raw)};
-}
-
-template <int kShift>
-inline V256 ShiftRight64x4(V256 a) {
-  return {_mm256_srli_epi64(a.raw, kShift)};
-}
-
-template <int kShift>
-inline V256 ShiftLeft64x4(V256 a) {
-  return {_mm256_slli_epi64(a.raw, kShift)};
-}
-
 // Widens 8 bytes at `p` into 8 uint32 lanes (no overread).
 inline V256 WidenLoad8x8To32(const void* p) {
   __m128i bytes = _mm_setzero_si128();
   std::memcpy(&bytes, p, 8);  // low 8 bytes; the cvt only reads those
   return {_mm256_cvtepu8_epi32(bytes)};
-}
-
-// Widens 4 bytes at `p` into 4 uint64 lanes (no overread).
-inline V256 WidenLoad4x8To64(const void* p) {
-  __m128i bytes = _mm_setzero_si128();
-  std::memcpy(&bytes, p, 4);
-  return {_mm256_cvtepu8_epi64(bytes)};
 }
 
 // Index (0..31) of the first byte lane whose high bit is set, or 32 if none.
@@ -310,19 +178,6 @@ inline unsigned FirstSetByte256(V256 mask) {
       static_cast<uint32_t>(_mm256_movemask_epi8(mask.raw));
   if (bits == 0) return 32;
   return static_cast<unsigned>(__builtin_ctz(bits));
-}
-
-inline bool AnySet256(V256 mask) {
-  return _mm256_movemask_epi8(mask.raw) != 0;
-}
-
-inline V256 MulLow64x4(V256 a, V256 b) {
-  const __m256i a_hi = _mm256_srli_epi64(a.raw, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b.raw, 32);
-  const __m256i lo_lo = _mm256_mul_epu32(a.raw, b.raw);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b.raw),
-                                         _mm256_mul_epu32(a.raw, b_hi));
-  return {_mm256_add_epi64(lo_lo, _mm256_slli_epi64(cross, 32))};
 }
 
 #endif  // HSGF_SIMD_X256

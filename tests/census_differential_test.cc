@@ -511,38 +511,43 @@ TEST(CensusDifferentialTest, DirectedMatchesNaiveReferenceAcrossModes) {
 
     for (bool mask : {false, true}) {
       for (int dmax : {0, 3}) {
-        CensusConfig config;
-        config.max_edges = 4;
-        config.max_degree = dmax;
-        config.mask_start_label = mask;
-        config.mix_contributions = (trial % 2 == 0);
-        config.keep_encodings = true;
+        // The reference ignores grouping: directed output must too,
+        // truncation points included.
+        for (bool group : {true, false}) {
+          CensusConfig config;
+          config.max_edges = 4;
+          config.max_degree = dmax;
+          config.mask_start_label = mask;
+          config.group_by_label = group;
+          config.mix_contributions = (trial % 2 == 0);
+          config.keep_encodings = true;
 
-        DirectedCensusWorker worker(graph, config);
-        ReferenceDirectedCensus reference(graph, config);
-        for (NodeId start : PickStarts(
-                 num_nodes, [&](NodeId v) { return graph.total_degree(v); },
-                 3)) {
-          CensusResult expected;
-          CensusResult actual;
-          reference.Run(start, expected);
-          worker.Run(start, actual);
-          ExpectIdenticalResults(expected, actual, Describe(start, config));
+          DirectedCensusWorker worker(graph, config);
+          ReferenceDirectedCensus reference(graph, config);
+          for (NodeId start : PickStarts(
+                   num_nodes, [&](NodeId v) { return graph.total_degree(v); },
+                   3)) {
+            CensusResult expected;
+            CensusResult actual;
+            reference.Run(start, expected);
+            worker.Run(start, actual);
+            ExpectIdenticalResults(expected, actual, Describe(start, config));
 
-          for (int64_t budget :
-               {int64_t{1}, expected.total_subgraphs / 2 + 1}) {
-            if (expected.total_subgraphs < 2) break;
-            CensusConfig truncated_config = config;
-            truncated_config.max_subgraphs = budget;
-            DirectedCensusWorker truncated_worker(graph, truncated_config);
-            ReferenceDirectedCensus truncated_reference(graph,
-                                                        truncated_config);
-            CensusResult expected_truncated;
-            CensusResult actual_truncated;
-            truncated_reference.Run(start, expected_truncated);
-            truncated_worker.Run(start, actual_truncated);
-            ExpectIdenticalResults(expected_truncated, actual_truncated,
-                                   Describe(start, truncated_config));
+            for (int64_t budget :
+                 {int64_t{1}, expected.total_subgraphs / 2 + 1}) {
+              if (expected.total_subgraphs < 2) break;
+              CensusConfig truncated_config = config;
+              truncated_config.max_subgraphs = budget;
+              DirectedCensusWorker truncated_worker(graph, truncated_config);
+              ReferenceDirectedCensus truncated_reference(graph,
+                                                          truncated_config);
+              CensusResult expected_truncated;
+              CensusResult actual_truncated;
+              truncated_reference.Run(start, expected_truncated);
+              truncated_worker.Run(start, actual_truncated);
+              ExpectIdenticalResults(expected_truncated, actual_truncated,
+                                     Describe(start, truncated_config));
+            }
           }
         }
       }
@@ -554,6 +559,46 @@ TEST(CensusDifferentialTest, DirectedMatchesNaiveReferenceAcrossModes) {
 // when the previous run was truncated mid-recursion: interleave truncated
 // and complete censuses on ONE worker and require the complete ones to stay
 // bit-identical to a fresh worker's output.
+template <typename Worker, typename Graph, typename DegreeFn>
+void ExpectTruncatedRunsLeaveWorkerClean(const Graph& graph,
+                                         NodeId num_nodes, DegreeFn&& degree,
+                                         const std::string& name) {
+  SCOPED_TRACE(name);
+  CensusConfig full_config;
+  full_config.max_edges = 4;
+  full_config.keep_encodings = true;
+  CensusConfig truncated_config = full_config;
+  truncated_config.max_subgraphs = 17;  // fires deep inside the recursion
+
+  Worker truncated_worker(graph, truncated_config);
+  Worker reused_worker(graph, full_config);
+  bool any_truncated = false;
+  for (NodeId start : PickStarts(num_nodes, degree, 6)) {
+    // The reused truncated worker must match a fresh one: its previous
+    // truncated Run unwound mid-recursion and may not leave arena, segment
+    // stack, or epoch scratch poisoned.
+    CensusResult from_reused_truncated;
+    truncated_worker.Run(start, from_reused_truncated);
+    any_truncated |= from_reused_truncated.truncated;
+    Worker fresh_truncated_worker(graph, truncated_config);
+    CensusResult from_fresh_truncated;
+    fresh_truncated_worker.Run(start, from_fresh_truncated);
+    ExpectIdenticalResults(from_fresh_truncated, from_reused_truncated,
+                           "reused-truncated start=" + std::to_string(start));
+
+    CensusResult from_reused;
+    reused_worker.Run(start, from_reused);
+
+    Worker fresh_worker(graph, full_config);
+    CensusResult from_fresh;
+    fresh_worker.Run(start, from_fresh);
+    ExpectIdenticalResults(from_fresh, from_reused,
+                           "reused-after-truncation start=" +
+                               std::to_string(start));
+  }
+  EXPECT_TRUE(any_truncated) << "the budget never fired";
+}
+
 TEST(CensusDifferentialTest, TruncatedRunsDoNotPoisonSubsequentRuns) {
   util::Rng rng(424242);
   const NodeId num_nodes = 14;
@@ -567,38 +612,24 @@ TEST(CensusDifferentialTest, TruncatedRunsDoNotPoisonSubsequentRuns) {
   }
   ASSERT_FALSE(edges.empty());
   HetGraph graph = MakeGraph({"x", "y"}, labels, edges);
+  ExpectTruncatedRunsLeaveWorkerClean<CensusWorker>(
+      graph, num_nodes, [&](NodeId v) { return graph.degree(v); },
+      "undirected");
 
-  CensusConfig full_config;
-  full_config.max_edges = 4;
-  full_config.keep_encodings = true;
-  CensusConfig truncated_config = full_config;
-  truncated_config.max_subgraphs = 17;  // fires deep inside the recursion
-
-  CensusWorker truncated_worker(graph, truncated_config);
-  CensusWorker reused_worker(graph, full_config);
-  for (NodeId start : PickStarts(
-           num_nodes, [&](NodeId v) { return graph.degree(v); }, 6)) {
-    // The reused truncated worker must match a fresh one: its previous
-    // truncated Run unwound mid-recursion and may not leave arena, segment
-    // stack, or epoch scratch poisoned.
-    CensusResult from_reused_truncated;
-    truncated_worker.Run(start, from_reused_truncated);
-    CensusWorker fresh_truncated_worker(graph, truncated_config);
-    CensusResult from_fresh_truncated;
-    fresh_truncated_worker.Run(start, from_fresh_truncated);
-    ExpectIdenticalResults(from_fresh_truncated, from_reused_truncated,
-                           "reused-truncated start=" + std::to_string(start));
-
-    CensusResult from_reused;
-    reused_worker.Run(start, from_reused);
-
-    CensusWorker fresh_worker(graph, full_config);
-    CensusResult from_fresh;
-    fresh_worker.Run(start, from_fresh);
-    ExpectIdenticalResults(from_fresh, from_reused,
-                           "reused-after-truncation start=" +
-                               std::to_string(start));
+  graph::DiGraphBuilder builder({"x", "y"});
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    builder.AddNode(static_cast<Label>(rng.UniformInt(2)));
   }
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    for (NodeId v = 0; v < num_nodes; ++v) {
+      if (u != v && rng.Bernoulli(0.15)) builder.AddArc(u, v);
+    }
+  }
+  DirectedHetGraph digraph = std::move(builder).Build();
+  ASSERT_GT(digraph.num_arcs(), 0);
+  ExpectTruncatedRunsLeaveWorkerClean<DirectedCensusWorker>(
+      digraph, num_nodes, [&](NodeId v) { return digraph.total_degree(v); },
+      "directed");
 }
 
 // --- Out-of-core differential -----------------------------------------------
@@ -724,41 +755,44 @@ TEST(CensusDifferentialTest, CompressedDirectedGraphMatchesCsrAcrossModes) {
 
     for (bool mask : {false, true}) {
       for (int dmax : {0, 3}) {
-        CensusConfig config;
-        config.max_edges = 4;
-        config.max_degree = dmax;
-        config.mask_start_label = mask;
-        config.mix_contributions = (trial % 2 == 0);
-        config.keep_encodings = true;
+        for (bool group : {true, false}) {
+          CensusConfig config;
+          config.max_edges = 4;
+          config.max_degree = dmax;
+          config.mask_start_label = mask;
+          config.group_by_label = group;
+          config.mix_contributions = (trial % 2 == 0);
+          config.keep_encodings = true;
 
-        DirectedCensusWorker csr_worker(graph, config);
-        BasicDirectedCensusWorker<gstore::DirectedGraphView> cgraph_worker(
-            view, config);
-        for (NodeId start : PickStarts(
-                 num_nodes, [&](NodeId v) { return graph.total_degree(v); },
-                 3)) {
-          CensusResult expected;
-          CensusResult actual;
-          csr_worker.Run(start, expected);
-          cgraph_worker.Run(start, actual);
-          ExpectIdenticalResults(expected, actual,
-                                 "cgraph-directed " + Describe(start, config));
-
-          for (int64_t budget :
-               {int64_t{1}, expected.total_subgraphs / 2 + 1}) {
-            if (expected.total_subgraphs < 2) break;
-            CensusConfig truncated_config = config;
-            truncated_config.max_subgraphs = budget;
-            DirectedCensusWorker truncated_csr(graph, truncated_config);
-            BasicDirectedCensusWorker<gstore::DirectedGraphView>
-                truncated_cgraph(view, truncated_config);
-            CensusResult expected_truncated;
-            CensusResult actual_truncated;
-            truncated_csr.Run(start, expected_truncated);
-            truncated_cgraph.Run(start, actual_truncated);
+          DirectedCensusWorker csr_worker(graph, config);
+          BasicDirectedCensusWorker<gstore::DirectedGraphView> cgraph_worker(
+              view, config);
+          for (NodeId start : PickStarts(
+                   num_nodes, [&](NodeId v) { return graph.total_degree(v); },
+                   3)) {
+            CensusResult expected;
+            CensusResult actual;
+            csr_worker.Run(start, expected);
+            cgraph_worker.Run(start, actual);
             ExpectIdenticalResults(
-                expected_truncated, actual_truncated,
-                "cgraph-directed " + Describe(start, truncated_config));
+                expected, actual, "cgraph-directed " + Describe(start, config));
+
+            for (int64_t budget :
+                 {int64_t{1}, expected.total_subgraphs / 2 + 1}) {
+              if (expected.total_subgraphs < 2) break;
+              CensusConfig truncated_config = config;
+              truncated_config.max_subgraphs = budget;
+              DirectedCensusWorker truncated_csr(graph, truncated_config);
+              BasicDirectedCensusWorker<gstore::DirectedGraphView>
+                  truncated_cgraph(view, truncated_config);
+              CensusResult expected_truncated;
+              CensusResult actual_truncated;
+              truncated_csr.Run(start, expected_truncated);
+              truncated_cgraph.Run(start, actual_truncated);
+              ExpectIdenticalResults(
+                  expected_truncated, actual_truncated,
+                  "cgraph-directed " + Describe(start, truncated_config));
+            }
           }
         }
       }
@@ -770,8 +804,8 @@ TEST(CensusDifferentialTest, CompressedDirectedGraphMatchesCsrAcrossModes) {
 //
 // The SIMD kernel layer (src/simd) claims bit-identity between its scalar
 // reference and every vector level. simd_test pins the kernels in isolation;
-// these tests pin the composition: a census run entirely on the scalar
-// kernels must equal a census run on the detected (best vector) kernels —
+// these tests pin the composition: a census run on the scalar ISA must
+// equal a census run on the detected (best vector) kernels —
 // same counts, same enumeration order (budget-probed), same encodings — for
 // undirected and directed workers, over CSR and paged cgraph storage. On a
 // machine (or HSGF_SIMD=OFF build) where only kScalar exists, both sides pin
@@ -831,9 +865,10 @@ TEST(CensusDifferentialTest, ForcedScalarMatchesForcedVectorUndirected) {
         config.mix_contributions = true;
         config.keep_encodings = true;
         // These graphs are far too small to reach the production threshold,
-        // so force every grouping run through the kernels — that is the
-        // path under test (under the scalar pin it is the scalar reference
-        // kernel, under the vector pin the widest vector one).
+        // so force every grouping run through the kernels under the vector
+        // pin — that is the path under test. Under the scalar pin the census
+        // keeps the scan inline whatever the threshold says, so the scalar
+        // side is the inline loop; simd_test checks the scalar kernel.
         config.vector_scan_min = 1;
 
         for (NodeId start :

@@ -299,6 +299,13 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{5, 1, 0.7, 4, false, 2}, SweepParam{8, 4, 0.2, 5, false, 0},
         SweepParam{8, 2, 0.2, 6, false, 3}));
 
+TEST(CensusTest, MixFinalizerFixesZero) {
+  // Run() starts every census from the start node's contribution before
+  // its first edge, Mix(0), as the empty-subgraph hash, which the census
+  // treats as 0: the finalizer must fix zero.
+  EXPECT_EQ(census_internal::Mix(0), 0u);
+}
+
 TEST(CensusTest, SubgraphBudgetTruncatesAndFlags) {
   // Star with 12 leaves: without a budget the census counts sum_k C(12,k)
   // subgraphs; a small budget must stop early and flag truncation.

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "graph/digraph.h"
+#include "util/metrics.h"
 #include "util/rng.h"
+#include "util/stop_token.h"
 
 namespace hsgf::core {
 namespace {
@@ -242,6 +244,109 @@ TEST(DirectedCensusTest, BudgetTruncates) {
   CensusResult result = RunDirectedCensus(graph, hub, config);
   EXPECT_TRUE(result.truncated);
   EXPECT_GE(result.total_subgraphs, 20);
+}
+
+// A complete digraph on `clique` nodes, whose censuses are astronomically
+// large, beside a directed path on `path` nodes, whose censuses are tiny.
+DirectedHetGraph CliqueBesidePath(int clique, int path) {
+  DiGraphBuilder builder({"x", "y"});
+  for (int v = 0; v < clique + path; ++v) {
+    builder.AddNode(static_cast<Label>(v % 2));
+  }
+  for (NodeId u = 0; u < clique; ++u) {
+    for (NodeId v = 0; v < clique; ++v) {
+      if (u != v) builder.AddArc(u, v);
+    }
+  }
+  for (NodeId v = clique; v + 1 < clique + path; ++v) builder.AddArc(v, v + 1);
+  return std::move(builder).Build();
+}
+
+TEST(DirectedCensusTest, StopTokenStopsRunAndLeavesWorkerClean) {
+  const int kClique = 24;
+  const int kPath = 8;
+  DirectedHetGraph graph = CliqueBesidePath(kClique, kPath);
+  CensusConfig config;
+  config.max_edges = 6;
+  config.keep_encodings = true;
+  // Safety net only: ends a census the token failed to stop, which then
+  // fails the test instead of hanging it.
+  config.max_subgraphs = 200'000'000;
+  const NodeId dense_root = 0;
+  const NodeId path_root = kClique + kPath / 2;
+
+  for (bool stop_before_run : {true, false}) {
+    SCOPED_TRACE(stop_before_run ? "stopped before Run" : "deadline mid-Run");
+    DirectedCensusWorker worker(graph, config);
+    util::StopSource source;
+    if (stop_before_run) {
+      source.RequestStop();
+    } else {
+      source.SetDeadlineAfter(0.05);
+    }
+    CensusResult stopped;
+    worker.Run(dense_root, stopped, source.Token());
+    // Not truncated: the deadline, not the far larger budget, ended it.
+    EXPECT_TRUE(stopped.stopped);
+    EXPECT_FALSE(stopped.truncated);
+    if (stop_before_run) {
+      EXPECT_EQ(stopped.total_subgraphs, 0);
+    }
+
+    // The stopped Run may not leave the worker's scratch poisoned.
+    CensusResult reused;
+    worker.Run(path_root, reused);
+    DirectedCensusWorker fresh_worker(graph, config);
+    CensusResult fresh;
+    fresh_worker.Run(path_root, fresh);
+    EXPECT_FALSE(reused.stopped);
+    EXPECT_GT(fresh.total_subgraphs, 0);
+    EXPECT_EQ(reused.total_subgraphs, fresh.total_subgraphs);
+    EXPECT_TRUE(reused.counts.Equals(fresh.counts));
+    EXPECT_EQ(reused.encodings, fresh.encodings);
+  }
+}
+
+TEST(DirectedCensusTest, MetricsCountEverySubgraph) {
+  util::Rng rng(7171);
+  const NodeId num_nodes = 12;
+  DiGraphBuilder builder({"a", "b"});
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    builder.AddNode(static_cast<Label>(rng.UniformInt(2)));
+  }
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    for (NodeId v = 0; v < num_nodes; ++v) {
+      if (u != v && rng.Bernoulli(0.2)) builder.AddArc(u, v);
+    }
+  }
+  DirectedHetGraph graph = std::move(builder).Build();
+  CensusConfig config;
+  config.max_edges = 4;
+  config.max_degree = 5;
+
+  util::MetricsRegistry registry;
+  DirectedCensusWorker worker(
+      graph, config, CensusMetrics::Register(registry, config.max_edges));
+  int64_t total = 0;
+  int64_t runs = 0;
+  for (NodeId start = 0; start < num_nodes; ++start) {
+    CensusResult result;
+    worker.Run(start, result);
+    total += result.total_subgraphs;
+    ++runs;
+  }
+  ASSERT_GT(total, 0);
+  const util::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Counter("census.subgraphs_total"), total);
+  EXPECT_EQ(snapshot.Counter("census.nodes"), runs);
+  int64_t by_edges = 0;
+  for (int k = 1; k <= config.max_edges; ++k) {
+    by_edges +=
+        snapshot.Counter("census.subgraphs.edges_" + std::to_string(k));
+  }
+  EXPECT_EQ(by_edges, total);
+  // Arcs are counted one at a time: nothing is ever grouped.
+  EXPECT_EQ(snapshot.Counter("census.label_group_saved"), 0);
 }
 
 TEST(DiGraphTest, BuilderAndAccessors) {

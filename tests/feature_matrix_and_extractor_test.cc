@@ -137,7 +137,7 @@ HetGraph HubNetwork(int num_hubs, int leaves_per_hub) {
   return graph::MakeGraph({"hub", "odd", "even"}, labels, edges);
 }
 
-TEST(ExtractorTest, BatchedMatchesPerRootAcrossThreadsAndTemplates) {
+TEST(ExtractorTest, BatchedMatchesPerRootAcrossThreads) {
   // Leaves-per-hub above kBatchCap (16) so the plan also splits batches.
   HetGraph graph = HubNetwork(/*num_hubs=*/3, /*leaves_per_hub=*/20);
   ASSERT_GE(graph.degree(0), Extractor::kBatchHubMinDegree);
@@ -152,41 +152,36 @@ TEST(ExtractorTest, BatchedMatchesPerRootAcrossThreadsAndTemplates) {
   const ExtractionResult expected = ExtractFeatures(graph, nodes, baseline);
 
   // Batching is pure scheduling: the feature matrix must be bit-identical
-  // across batching on/off x thread counts x frontier-template reuse.
+  // across batching on/off x thread counts.
   for (bool batch : {true, false}) {
     for (unsigned threads : {1u, 4u}) {
-      for (bool templates : {false, true}) {
-        ExtractorConfig config = baseline;
-        config.batch_roots = batch;
-        config.num_threads = threads;
-        config.census.frontier_templates = templates;
-        const ExtractionResult actual = ExtractFeatures(graph, nodes, config);
-        const std::string context =
-            "batch=" + std::to_string(batch) +
-            " threads=" + std::to_string(threads) +
-            " templates=" + std::to_string(templates);
-        EXPECT_EQ(expected.total_subgraphs, actual.total_subgraphs) << context;
-        EXPECT_EQ(expected.truncated_nodes, actual.truncated_nodes) << context;
-        ASSERT_EQ(expected.features.feature_hashes,
-                  actual.features.feature_hashes)
-            << context;
-        EXPECT_EQ(expected.features.matrix.data(), actual.features.matrix.data())
-            << context;
-        EXPECT_EQ(expected.features.encodings, actual.features.encodings)
-            << context;
+      ExtractorConfig config = baseline;
+      config.batch_roots = batch;
+      config.num_threads = threads;
+      const ExtractionResult actual = ExtractFeatures(graph, nodes, config);
+      const std::string context = "batch=" + std::to_string(batch) +
+                                  " threads=" + std::to_string(threads);
+      EXPECT_EQ(expected.total_subgraphs, actual.total_subgraphs) << context;
+      EXPECT_EQ(expected.truncated_nodes, actual.truncated_nodes) << context;
+      ASSERT_EQ(expected.features.feature_hashes,
+                actual.features.feature_hashes)
+          << context;
+      EXPECT_EQ(expected.features.matrix.data(), actual.features.matrix.data())
+          << context;
+      EXPECT_EQ(expected.features.encodings, actual.features.encodings)
+          << context;
 
-        // The schedule itself differs: batching groups each hub's leaves
-        // (split at kBatchCap), so there are strictly fewer batches than
-        // roots; without it every root is its own batch.
-        const double batches = actual.metrics.Gauge("extract.root_batches");
-        if (batch) {
-          EXPECT_LT(batches, static_cast<double>(nodes.size())) << context;
-          EXPECT_GE(batches, static_cast<double>(nodes.size()) /
-                                 static_cast<double>(Extractor::kBatchCap))
-              << context;
-        } else {
-          EXPECT_EQ(batches, static_cast<double>(nodes.size())) << context;
-        }
+      // The schedule itself differs: batching groups each hub's leaves
+      // (split at kBatchCap), so there are strictly fewer batches than
+      // roots; without it every root is its own batch.
+      const double batches = actual.metrics.Gauge("extract.root_batches");
+      if (batch) {
+        EXPECT_LT(batches, static_cast<double>(nodes.size())) << context;
+        EXPECT_GE(batches, static_cast<double>(nodes.size()) /
+                               static_cast<double>(Extractor::kBatchCap))
+            << context;
+      } else {
+        EXPECT_EQ(batches, static_cast<double>(nodes.size())) << context;
       }
     }
   }

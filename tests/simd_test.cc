@@ -2,9 +2,9 @@
 // this binary+CPU can run is compared entry-by-entry against the scalar
 // reference on a width x alignment x tail matrix: run lengths straddling each
 // plausible vector width (0, 1, w-1, w, w+1 for w in {4, 8, 16, 32, 64}),
-// unaligned buffer starts, breaks at every position, and exact aliasing where
-// the contract allows it. The kernels' contract is bit-identity, so every
-// comparison here is EXPECT_EQ — no tolerances.
+// unaligned buffer starts and breaks at every position. The kernels'
+// contract is bit-identity, so every comparison here is EXPECT_EQ — no
+// tolerances.
 
 #include <algorithm>
 #include <cstdint>
@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/census.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 
@@ -247,100 +246,6 @@ TEST(SimdKernelTest, CompareBytesFirstDifferenceWinsOverLaterOnes) {
       EXPECT_EQ(Sign(kernels->compare_bytes(a.data(), b.data(), n)), 1)
           << Ctx(level, n, 0);
     }
-  }
-}
-
-// --- mix_pair / mix_batch ---------------------------------------------------
-
-TEST(SimdKernelTest, MixMatchesCensusSplitMix64) {
-  // The census hash and the kernel layer define the SplitMix64 finalizer
-  // independently; this is the lockstep pin the census.h comment promises.
-  std::mt19937_64 rng(11);
-  std::vector<uint64_t> probes = {0, 1, 0xffffffffffffffffULL,
-                                  0x9e3779b97f4a7c15ULL};
-  for (int i = 0; i < 64; ++i) probes.push_back(rng());
-  for (IsaLevel level : SupportedIsaLevels()) {
-    const KernelTable* kernels = KernelsFor(level);
-    for (uint64_t x : probes) {
-      uint64_t a = x, b = ~x;
-      kernels->mix_pair(&a, &b);
-      EXPECT_EQ(a, core::census_internal::Mix(x)) << IsaName(level);
-      EXPECT_EQ(b, core::census_internal::Mix(~x)) << IsaName(level);
-      uint64_t out = 0;
-      kernels->mix_batch(&x, &out, 1);
-      EXPECT_EQ(out, core::census_internal::Mix(x)) << IsaName(level);
-    }
-  }
-  // Identity on zero (the census relies on absent nodes contributing 0).
-  EXPECT_EQ(core::census_internal::Mix(0), 0u);
-}
-
-TEST(SimdKernelTest, MixBatchWidthTailMatrixAndAliasing) {
-  std::mt19937_64 rng(22);
-  for (IsaLevel level : SupportedIsaLevels()) {
-    const KernelTable* kernels = KernelsFor(level);
-    for (size_t w : {size_t{2}, size_t{4}, size_t{8}}) {
-      for (size_t n : {size_t{0}, size_t{1}, w - 1, w, w + 1, 8 * w + 3}) {
-        std::vector<uint64_t> in(n);
-        for (uint64_t& v : in) v = rng();
-        std::vector<uint64_t> want(n);
-        internal::MixBatchScalar(in.data(), want.data(), n);
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(want[i], core::census_internal::Mix(in[i]));
-        }
-        // Distinct output buffer.
-        std::vector<uint64_t> out(n, 0xdead);
-        kernels->mix_batch(in.data(), out.data(), n);
-        EXPECT_EQ(out, want) << Ctx(level, n, 0);
-        // Exact aliasing (in == out), which the contract allows.
-        std::vector<uint64_t> inplace = in;
-        kernels->mix_batch(inplace.data(), inplace.data(), n);
-        EXPECT_EQ(inplace, want) << Ctx(level, n, 0) << " aliased";
-      }
-    }
-  }
-}
-
-// --- dot_u8_u64 -------------------------------------------------------------
-
-TEST(SimdKernelTest, DotU8U64WidthTailMatrix) {
-  std::mt19937_64 rng(33);
-  for (IsaLevel level : SupportedIsaLevels()) {
-    const KernelTable* kernels = KernelsFor(level);
-    for (size_t w : kWidths) {
-      for (size_t n : {size_t{0}, size_t{1}, w - 1, w, w + 1}) {
-        for (size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
-          std::vector<uint8_t> counts_storage(n + offset + 8, 0);
-          std::vector<uint64_t> weights(n);
-          uint8_t* counts = counts_storage.data() + offset;
-          uint64_t want = 0;
-          for (size_t i = 0; i < n; ++i) {
-            counts[i] = static_cast<uint8_t>(rng());
-            weights[i] = rng();  // full range: exercises mod-2^64 wraparound
-            want += static_cast<uint64_t>(counts[i]) * weights[i];
-          }
-          EXPECT_EQ(kernels->dot_u8_u64(counts, weights.data(), n), want)
-              << Ctx(level, n, offset);
-          EXPECT_EQ(internal::DotU8U64Scalar(counts, weights.data(), n), want)
-              << Ctx(level, n, offset);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, DotU8U64SaturatedCountsWrapExactly) {
-  // 255 * huge weights overflow many times over; all levels must agree on
-  // the mod-2^64 result, not saturate or widen differently.
-  const size_t n = 37;
-  std::vector<uint8_t> counts(n, 255);
-  std::vector<uint64_t> weights(n, 0xfedcba9876543210ULL);
-  const uint64_t want =
-      internal::DotU8U64Scalar(counts.data(), weights.data(), n);
-  for (IsaLevel level : SupportedIsaLevels()) {
-    EXPECT_EQ(KernelsFor(level)->dot_u8_u64(counts.data(), weights.data(), n),
-              want)
-        << IsaName(level);
   }
 }
 
