@@ -301,6 +301,15 @@ bool WriteStreamSeeds(const std::string& dir) {
   // one-byte pad puts a canonical kApplyUpdate body on that surface too.
   const std::string payload =
       '\0' + hsgf::stream::EncodeBatchPayload({batch1.data(), batch1.size()});
+  // A batch in range of the harness's 36-node engine graph: a ring edge
+  // removed and re-added, a chord that crosses dmax, a new node wired in.
+  const std::vector<DeltaOp> churn = {
+      DeltaOp::RemoveEdge(4, 5), DeltaOp::AddEdge(8, 26),
+      DeltaOp::AddEdge(4, 5),    DeltaOp::RemoveEdge(13, 14),
+      DeltaOp::AddNode(0),       DeltaOp::AddEdge(36, 19),
+      DeltaOp::AddEdge(36, 20)};
+  const std::string engine_payload =
+      '\0' + hsgf::stream::EncodeBatchPayload({churn.data(), churn.size()});
   return WriteSeed(dir + "/torn_tail.bin",
                    valid.substr(0, valid.size() - 3)) &&
          WriteSeed(dir + "/bad_crc.bin", bad_crc) &&
@@ -308,6 +317,7 @@ bool WriteStreamSeeds(const std::string& dir) {
                    valid.substr(0, hsgf::stream::kDeltaLogHeaderBytes)) &&
          WriteSeed(dir + "/bad_magic.bin", bad_magic) &&
          WriteSeed(dir + "/batch_payload.bin", payload) &&
+         WriteSeed(dir + "/engine_batch.bin", engine_payload) &&
          WriteSeed(dir + "/empty.bin", "");
 }
 

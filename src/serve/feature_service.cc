@@ -80,6 +80,7 @@ bool FeatureService::AttachStream(stream::StreamEngine& engine,
   }
   const auto hashes = snapshot_.feature_hashes();
   engine.SeedVocabulary({hashes.data(), hashes.size()});
+  engine.AttachMetrics(&metrics_);
   stream_ = &engine;
   return true;
 }

@@ -120,6 +120,8 @@ class FeatureService {
   // vocabulary) — its vocabulary is seeded with the snapshot's columns so
   // streamed features extend, never renumber, the snapshot's coordinate
   // system. The stream path supersedes an attached graph for cold misses.
+  // The engine's stream.* metrics go to the service's registry, which must
+  // then outlive the engine's last ApplyBatch.
   bool AttachStream(stream::StreamEngine& engine, std::string* error = nullptr);
 
   const io::Snapshot& snapshot() const { return snapshot_; }

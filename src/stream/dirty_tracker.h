@@ -41,6 +41,12 @@ std::vector<graph::NodeId> CollectDirtyRoots(const DynamicGraph& graph,
                                              std::span<const graph::NodeId> sources,
                                              int max_edges, int max_degree);
 
+// Same rule over a materialized CSR, e.g. the graph as it was before a
+// batch, which StreamEngine keeps to find the roots a dmax crossing reaches.
+std::vector<graph::NodeId> CollectDirtyRoots(
+    const graph::HetGraph& graph, std::span<const graph::NodeId> sources,
+    int max_edges, int max_degree);
+
 // Same rule over a directed graph: the directed census traverses arcs in
 // both orientations (successors and predecessors), so the reverse BFS does
 // too, and blocking uses total_degree as in DirectedCensusWorker.

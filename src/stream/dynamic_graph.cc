@@ -29,8 +29,9 @@ bool SortedErase(std::vector<graph::NodeId>* list, graph::NodeId v) {
 
 }  // namespace
 
-DynamicGraph::DynamicGraph(graph::HetGraph base) : base_(std::move(base)) {
-  num_edges_ = static_cast<size_t>(base_.num_edges());
+DynamicGraph::DynamicGraph(graph::HetGraph base)
+    : base_(std::make_shared<const graph::HetGraph>(std::move(base))) {
+  num_edges_ = static_cast<size_t>(base_->num_edges());
 }
 
 DynamicGraph::DynamicGraph(const gstore::CompressedGraph& base)
@@ -39,11 +40,11 @@ DynamicGraph::DynamicGraph(const gstore::CompressedGraph& base)
 bool DynamicGraph::Apply(const DeltaOp& op, std::string* error) {
   switch (op.kind) {
     case DeltaKind::kAddNode:
-      if (op.label >= base_.num_labels()) {
+      if (op.label >= base_->num_labels()) {
         if (error != nullptr) {
           *error = "label " + std::to_string(op.label) +
                    " out of range (graph has " +
-                   std::to_string(base_.num_labels()) + " labels)";
+                   std::to_string(base_->num_labels()) + " labels)";
         }
         return false;
       }
@@ -59,7 +60,7 @@ bool DynamicGraph::Apply(const DeltaOp& op, std::string* error) {
 }
 
 graph::NodeId DynamicGraph::AddNode(graph::Label label) {
-  HSGF_CHECK_LT(label, base_.num_labels());
+  HSGF_CHECK_LT(label, base_->num_labels());
   const graph::NodeId id = num_nodes();
   added_labels_.push_back(label);
   materialized_fresh_ = false;
@@ -134,13 +135,13 @@ bool DynamicGraph::RemoveEdge(graph::NodeId u, graph::NodeId v,
 
 graph::Label DynamicGraph::label(graph::NodeId v) const {
   HSGF_DCHECK(InRange(v));
-  return v < base_.num_nodes() ? base_.label(v)
-                               : added_labels_[v - base_.num_nodes()];
+  return v < base_->num_nodes() ? base_->label(v)
+                                : added_labels_[v - base_->num_nodes()];
 }
 
 int DynamicGraph::degree(graph::NodeId v) const {
   HSGF_DCHECK(InRange(v));
-  int d = v < base_.num_nodes() ? base_.degree(v) : 0;
+  int d = v < base_->num_nodes() ? base_->degree(v) : 0;
   if (const Overlay* overlay = FindOverlay(v)) {
     d += static_cast<int>(overlay->added.size());
     d -= static_cast<int>(overlay->removed.size());
@@ -162,8 +163,8 @@ void DynamicGraph::AppendNeighbors(graph::NodeId v,
                                    std::vector<graph::NodeId>* out) const {
   HSGF_DCHECK(InRange(v));
   const Overlay* overlay = FindOverlay(v);
-  if (v < base_.num_nodes()) {
-    for (const graph::NodeId w : base_.neighbors(v)) {
+  if (v < base_->num_nodes()) {
+    for (const graph::NodeId w : base_->neighbors(v)) {
       if (overlay != nullptr && SortedContains(overlay->removed, w)) continue;
       out->push_back(w);
     }
@@ -189,45 +190,40 @@ const DynamicGraph::Overlay* DynamicGraph::FindOverlay(
 }
 
 const graph::HetGraph& DynamicGraph::Materialize() {
-  if (materialized_fresh_) {
-    return materialized_is_base_ ? base_ : materialized_;
-  }
-  if (overlay_entries_ == 0 && added_labels_.empty()) {
+  if (!materialized_fresh_) {
+    if (overlay_entries_ == 0 && added_labels_.empty()) {
+      materialized_.reset();
+    } else {
+      Rebuild();
+    }
     materialized_fresh_ = true;
-    materialized_is_base_ = true;
-    materialized_ = graph::HetGraph();
-    return base_;
   }
-  Rebuild();
-  materialized_fresh_ = true;
-  materialized_is_base_ = false;
-  return materialized_;
+  return materialized_ != nullptr ? *materialized_ : *base_;
 }
 
-const graph::HetGraph& DynamicGraph::csr() const {
+const std::shared_ptr<const graph::HetGraph>& DynamicGraph::SharedCsr()
+    const {
   HSGF_CHECK(materialized_fresh_)
       << "DynamicGraph::csr() called with pending mutations; call "
          "Materialize() first";
-  return materialized_is_base_ ? base_ : materialized_;
+  return materialized_ != nullptr ? materialized_ : base_;
 }
 
 void DynamicGraph::Compact() {
-  const graph::HetGraph& view = Materialize();
-  if (materialized_is_base_) return;  // nothing to fold
+  Materialize();
+  if (materialized_ == nullptr) return;  // nothing to fold
   base_ = std::move(materialized_);
-  (void)view;
-  materialized_ = graph::HetGraph();
-  materialized_is_base_ = true;
+  materialized_.reset();
   added_labels_.clear();
   overlays_.clear();
   overlay_entries_ = 0;
 }
 
 void DynamicGraph::Rebuild() {
-  graph::GraphBuilder builder(base_.label_names());
-  const graph::NodeId base_nodes = base_.num_nodes();
+  graph::GraphBuilder builder(base_->label_names());
+  const graph::NodeId base_nodes = base_->num_nodes();
   for (graph::NodeId v = 0; v < base_nodes; ++v) {
-    builder.AddNode(base_.label(v));
+    builder.AddNode(base_->label(v));
   }
   for (const graph::Label label : added_labels_) {
     builder.AddNode(label);
@@ -235,7 +231,7 @@ void DynamicGraph::Rebuild() {
   // Base edges minus removals (each undirected edge emitted once, u < w).
   for (graph::NodeId v = 0; v < base_nodes; ++v) {
     const Overlay* overlay = FindOverlay(v);
-    for (const graph::NodeId w : base_.neighbors(v)) {
+    for (const graph::NodeId w : base_->neighbors(v)) {
       if (w <= v) continue;
       if (overlay != nullptr && SortedContains(overlay->removed, w)) continue;
       builder.AddEdge(v, w);
@@ -250,8 +246,9 @@ void DynamicGraph::Rebuild() {
       if (w > v) builder.AddEdge(v, w);
     }
   }
-  materialized_ = std::move(builder).Build();
-  HSGF_CHECK_EQ(static_cast<size_t>(materialized_.num_edges()), num_edges_);
+  materialized_ =
+      std::make_shared<const graph::HetGraph>(std::move(builder).Build());
+  HSGF_CHECK_EQ(static_cast<size_t>(materialized_->num_edges()), num_edges_);
 }
 
 }  // namespace hsgf::stream

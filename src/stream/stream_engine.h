@@ -14,6 +14,7 @@
 #include "stream/delta_log.h"
 #include "stream/dynamic_graph.h"
 #include "util/flat_count_map.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/stop_token.h"
 #include "util/thread_annotations.h"
@@ -34,13 +35,24 @@ struct StreamEngineConfig {
 // The engine owns a DynamicGraph and a growing feature vocabulary. Each
 // ApplyBatch() call: (1) computes the dirty-root set of the batch with the
 // two-pass (pre + post mutation) reverse BFS of dirty_tracker.h; (2) applies
-// the ops; (3) re-runs the rooted census for exactly the dirty roots on the
-// materialized post graph; (4) merges the new counts into the per-root rows
-// under *stable vocabulary union* semantics — existing hash -> column
-// assignments never move, and hashes never seen before are appended in a
-// deterministic order (roots ascending, then new hashes ascending), so a
-// replay of the same batches from the same base always reproduces the same
-// column numbering; (5) bumps the epoch.
+// the ops; (3) brings every dirty root's row up to date on the materialized
+// post graph. A root's census counts the connected edge subsets that hold
+// it, so a batch changes a maintained row only by the subsets that hold an
+// edge it changed: the row loses the pre-batch subsets through the net-
+// removed edges and gains the post-batch subsets through the net-added ones
+// (CensusWorker::RunThrough on the pre- and post-batch CSRs). Three kinds of
+// dirty root are re-censused in full instead: a first touch (no raw row
+// yet — snapshot rows are transformed), a root that a node whose degree
+// crossed dmax can reach (the crossing changes which subsets are admitted
+// without changing an edge of them), and, under max_subgraphs, a root whose
+// old or new total reaches the budget (a truncated count has no exact
+// difference); (4) interns the row's hashes under *stable vocabulary union*
+// semantics — existing hash -> column assignments never move, and hashes
+// never seen before are appended in a deterministic order (roots ascending,
+// then new hashes ascending; a delta's new hashes are exactly those of the
+// full re-census it replaces), so a replay of the same batches from the
+// same base always reproduces the same column numbering; (5) bumps the
+// epoch.
 //
 // Rows store raw int64 census counts; log1p (when configured) is applied at
 // read time exactly as the serve layer does for snapshot rows, which is what
@@ -58,8 +70,8 @@ class StreamEngine {
     uint64_t epoch = 0;  // epoch after the batch
     int applied = 0;
     int rejected = 0;
-    // Roots re-censused by this batch, ascending (the serve layer erases
-    // exactly these from its LRU).
+    // Roots whose rows this batch may have changed, ascending (the serve
+    // layer erases exactly these from its LRU).
     std::vector<graph::NodeId> dirty_roots;
     int new_columns = 0;      // vocabulary growth from this batch
     std::string first_error;  // first rejection message, if any
@@ -70,6 +82,11 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
+  // Registers stream.* metrics in `registry` (names in DESIGN.md §Serve
+  // metrics); null detaches them. `registry` must outlive the
+  // engine or the next AttachMetrics call.
+  void AttachMetrics(util::MetricsRegistry* registry) HSGF_EXCLUDES(mutex_);
+
   // Pins the column order of an existing vocabulary (e.g. a snapshot's
   // feature hashes, in snapshot column order) before any batch is applied.
   // Must be called at epoch 0 with an empty vocabulary.
@@ -78,7 +95,7 @@ class StreamEngine {
 
   // Applies one delta batch. The epoch advances on *every* call — even one
   // whose ops were all rejected — so client and log agree on a batch count;
-  // the re-census is skipped when nothing applied.
+  // rows are left alone when nothing applied.
   ApplyResult ApplyBatch(std::span<const DeltaOp> ops) HSGF_EXCLUDES(mutex_);
 
   // --- Read side (shared lock) -------------------------------------------
@@ -122,6 +139,28 @@ class StreamEngine {
   // Columns for `hashes` (ascending), interning unseen ones in order.
   uint32_t InternColumn(uint64_t hash) HSGF_REQUIRES(mutex_);
 
+  // Replaces `root`'s row with a full census result.
+  void StoreRow(graph::NodeId root, const core::CensusResult& census)
+      HSGF_REQUIRES(mutex_);
+
+  // Updates `row` by `removed` (subsets the batch took away) and `added`
+  // (subsets it created); counts that reach zero are erased.
+  void MergeDelta(const core::CensusResult& removed,
+                  const core::CensusResult& added, SparseRow& row)
+      HSGF_REQUIRES(mutex_);
+
+  // Ids of the stream.* metrics; all inert until AttachMetrics.
+  struct Metrics {
+    util::MetricsRegistry* registry = nullptr;
+    util::MetricId batches = util::kInvalidMetric;
+    util::MetricId dirty_roots = util::kInvalidMetric;
+    util::MetricId delta_roots = util::kInvalidMetric;
+    util::MetricId first_touch = util::kInvalidMetric;
+    util::MetricId dmax_crossing = util::kInvalidMetric;
+    util::MetricId budget = util::kInvalidMetric;
+    util::MetricId apply_micros = util::kInvalidMetric;
+  };
+
   StreamEngineConfig config_;
   mutable util::SharedMutex mutex_;
 
@@ -132,8 +171,11 @@ class StreamEngine {
   std::vector<uint64_t> hashes_ HSGF_GUARDED_BY(mutex_);
   // hash -> column
   std::unordered_map<uint64_t, uint32_t> column_of_ HSGF_GUARDED_BY(mutex_);
-  // node -> sparse row; only dirty-recomputed roots have entries.
+  // node -> sparse row of raw counts; only roots some batch dirtied have
+  // entries.
   std::unordered_map<graph::NodeId, SparseRow> rows_ HSGF_GUARDED_BY(mutex_);
+
+  Metrics metrics_ HSGF_GUARDED_BY(mutex_);
 };
 
 }  // namespace hsgf::stream

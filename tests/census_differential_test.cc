@@ -9,12 +9,15 @@
 // across undirected/directed x dmax on/off x mask on/off x group-by-label
 // on/off x budget truncation firing mid-run. Any divergence in enumeration
 // order (which budget truncation exposes), grouping, hashing, or encoding
-// materialization fails here before it could skew a feature matrix.
+// materialization fails here before it could skew a feature matrix. The
+// filtered census the stream engine updates rows with (RunThrough) is held
+// to the same reference with a changed-edge filter on its count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,6 +66,18 @@ class ReferenceCensus {
         num_effective_labels_(graph.num_labels() +
                               (config.mask_start_label ? 1 : 0)),
         in_subgraph_(graph.num_nodes(), 0) {}
+
+  // From now on count only edge stacks that hold one of `changed` (pairs in
+  // either order). Grouping must be off: a run's candidates differ in
+  // whether their own edge is changed.
+  void FilterThrough(const std::vector<std::pair<NodeId, NodeId>>& changed) {
+    ASSERT_FALSE(config_.group_by_label);
+    filtered_ = true;
+    changed_.clear();
+    for (const auto& [u, v] : changed) {
+      changed_.emplace(std::min(u, v), std::max(u, v));
+    }
+  }
 
   void Run(NodeId start, CensusResult& result) {
     result.counts.Clear();
@@ -130,6 +145,14 @@ class ReferenceCensus {
     return hash;
   }
 
+  bool StackCounts() const {
+    if (!filtered_) return true;
+    for (const auto& [u, v] : edge_stack_) {
+      if (changed_.contains({std::min(u, v), std::max(u, v)})) return true;
+    }
+    return false;
+  }
+
   Encoding EncodeStack() const {
     std::vector<NodeId> nodes;
     for (const auto& [u, v] : edge_stack_) {
@@ -177,11 +200,13 @@ class ReferenceCensus {
       const auto run = static_cast<int64_t>(j - i);
 
       edge_stack_.emplace_back(head.from, head.to);
-      const uint64_t hash_after = HashStack();
-      result.counts.Add(hash_after, run);
-      result.total_subgraphs += run;
-      if (config_.keep_encodings && !result.encodings.contains(hash_after)) {
-        result.encodings.emplace(hash_after, EncodeStack());
+      if (StackCounts()) {
+        const uint64_t hash_after = HashStack();
+        result.counts.Add(hash_after, run);
+        result.total_subgraphs += run;
+        if (config_.keep_encodings && !result.encodings.contains(hash_after)) {
+          result.encodings.emplace(hash_after, EncodeStack());
+        }
       }
       edge_stack_.pop_back();
 
@@ -215,6 +240,8 @@ class ReferenceCensus {
   NodeId start_ = -1;
   std::vector<char> in_subgraph_;
   std::vector<std::pair<NodeId, NodeId>> edge_stack_;
+  bool filtered_ = false;
+  std::set<std::pair<NodeId, NodeId>> changed_;  // (min, max) pairs
 };
 
 // --- Directed reference -----------------------------------------------------
@@ -547,6 +574,72 @@ TEST(CensusDifferentialTest, DirectedMatchesNaiveReferenceAcrossModes) {
               truncated_worker.Run(start, actual_truncated);
               ExpectIdenticalResults(expected_truncated, actual_truncated,
                                      Describe(start, truncated_config));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// RunThrough counts exactly the subgraphs of a full census that hold a
+// changed edge. The reference enumerates everything and filters its count;
+// the worker prunes every branch that cannot reach a changed edge, exempts
+// the start from dmax in its own distance, and keeps grouping on or off.
+// Every node is a start, so starts far from every changed edge (empty
+// results) and blocked hub starts are covered.
+TEST(CensusDifferentialTest, RunThroughMatchesFilteredReference) {
+  util::Rng rng(20261019);
+  for (int trial = 0; trial < 5; ++trial) {
+    const NodeId num_nodes = 12 + 2 * trial;
+    std::vector<Label> labels(num_nodes);
+    for (auto& l : labels) l = static_cast<Label>(rng.UniformInt(3));
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    const double density = 3.2 / num_nodes;
+    for (NodeId u = 0; u < num_nodes; ++u) {
+      for (NodeId v = u + 1; v < num_nodes; ++v) {
+        if (rng.Bernoulli(density)) edges.emplace_back(u, v);
+      }
+    }
+    if (edges.empty()) continue;
+    HetGraph graph = MakeGraph({"a", "b", "c"}, labels, edges);
+
+    for (bool mask : {false, true}) {
+      for (int dmax : {0, 3}) {
+        CensusConfig config;
+        config.max_edges = 4;
+        config.max_degree = dmax;
+        config.mask_start_label = mask;
+        config.group_by_label = false;
+        config.mix_contributions = (trial % 2 == 0);
+        config.keep_encodings = true;
+        for (int draw = 1; draw <= 3; ++draw) {
+          // `draw` changed edges; an edge drawn twice is one edge.
+          std::vector<std::pair<NodeId, NodeId>> changed;
+          for (int k = 0; k < draw; ++k) {
+            const auto& [u, v] = edges[rng.UniformInt(edges.size())];
+            if (rng.Bernoulli(0.5)) {
+              changed.emplace_back(u, v);
+            } else {
+              changed.emplace_back(v, u);
+            }
+          }
+          ReferenceCensus reference(graph, config);
+          reference.FilterThrough(changed);
+          const ChangedEdges through(graph, changed, config);
+          for (bool group : {false, true}) {
+            CensusConfig worker_config = config;
+            worker_config.group_by_label = group;
+            CensusWorker worker(graph, worker_config);
+            for (NodeId start = 0; start < num_nodes; ++start) {
+              CensusResult expected;
+              CensusResult actual;
+              reference.Run(start, expected);
+              worker.RunThrough(start, through, actual);
+              ExpectIdenticalResults(
+                  expected, actual,
+                  "through " + std::to_string(draw) + " edges, " +
+                      Describe(start, worker_config));
             }
           }
         }

@@ -534,6 +534,22 @@ TEST(FeatureServiceTest, StreamServingAndTargetedInvalidation) {
   EXPECT_EQ(reply2.dirty_roots, 4);
   EXPECT_EQ(service.GetStats().cache_entries, cached_before);
 
+  // The engine's own counters land in the service's registry (so in
+  // kStats): batch 1 was every dirty root's first touch, and batch 2 found
+  // each with a maintained row.
+  const util::MetricsSnapshot counters = metrics.Snapshot();
+  EXPECT_EQ(counters.Counter("stream.batches"), 2);
+  EXPECT_EQ(counters.Counter("stream.dirty_roots"), 8);
+  EXPECT_EQ(counters.Counter("stream.full_census_roots.first_touch"), 4);
+  EXPECT_EQ(counters.Counter("stream.delta_roots") +
+                counters.Counter("stream.full_census_roots.dmax_crossing") +
+                counters.Counter("stream.full_census_roots.budget"),
+            4);
+  const util::HistogramSnapshot* apply_micros =
+      counters.Histogram("stream.apply_batch_micros");
+  ASSERT_NE(apply_micros, nullptr);
+  EXPECT_EQ(apply_micros->count, 2);
+
   FeatureService::FeatureReply warm = service.GetFeatures(6);
   EXPECT_EQ(warm.source, FeatureSource::kCache);
   EXPECT_EQ(warm.epoch, 2u);
