@@ -1,30 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the census design choices called
 // out in DESIGN.md: the label-grouping heuristic (§3.2 "Heterogeneous
 // Optimization Heuristic"), the dmax constraint, the emax scaling law, and
-// the cost of materializing encodings — plus a multi-threaded end-to-end
-// throughput measurement written to BENCH_census.json for the perf
-// trajectory (EXPERIMENTS.md keeps the committed baselines).
+// the cost of materializing encodings.
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
+#include <cstdint>
+#include <vector>
 
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <thread>
-
-#include "bench_common.h"
 #include "core/census.h"
-#include "core/extractor.h"
-#include "simd/dispatch.h"
 #include "data/generator.h"
 #include "data/schema.h"
-#include "gstore/cgraph_writer.h"
-#include "gstore/compressed_graph.h"
 #include "util/metrics.h"
-#include "util/resource.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -128,141 +115,6 @@ void BM_CensusStarSchema(benchmark::State& state) {
 }
 BENCHMARK(BM_CensusStarSchema)->DenseRange(3, 5);
 
-// Headline throughput numbers: the full parallel extraction pipeline
-// (BasicExtractor fan-out, emax=5) over a fixed synthetic graph and a fixed,
-// hub-inclusive node sample. The graph storage is a template parameter so
-// the same workload measures the in-memory CSR and the block-compressed
-// container — the delta between those two records IS the out-of-core
-// abstraction penalty when everything fits in RAM. This is the measurement
-// the CI perf-smoke job tracks; keep the configuration stable so the
-// trajectory stays comparable.
-template <typename GraphT>
-hsgf::bench::BenchRecord MeasureThroughputOn(const GraphT& graph,
-                                             const std::string& name,
-                                             const char* storage, int threads,
-                                             int num_nodes, int repeats) {
-  // Sample from the CSR graph in every case: degrees are identical across
-  // storages, and this keeps the node set byte-for-byte the same.
-  auto nodes = SampleNodes(LoadGraph(), num_nodes, 123);
-  core::ExtractorConfig config;
-  config.census.max_edges = 5;
-  config.census.max_degree = 40;
-  config.census.keep_encodings = false;
-  config.num_threads = static_cast<unsigned>(threads);
-  core::BasicExtractor<GraphT> extractor(graph, config);
-
-  hsgf::bench::BenchRecord record;
-  record.name = name;
-  util::Stopwatch watch;
-  for (int r = 0; r < repeats; ++r) {
-    core::ExtractionResult result = extractor.Run(nodes);
-    record.subgraphs += result.total_subgraphs;
-  }
-  record.wall_s = watch.ElapsedSeconds();
-  record.subgraphs_per_s =
-      record.wall_s > 0 ? static_cast<double>(record.subgraphs) / record.wall_s
-                        : 0.0;
-  record.peak_rss_bytes = util::PeakRssBytes();
-  record.config = {
-      {"graph", "LoadLikeSchema(0.25) seed 5"},
-      {"storage", storage},
-      {"nodes", std::to_string(num_nodes)},
-      {"repeats", std::to_string(repeats)},
-      {"emax", "5"},
-      {"dmax", "40"},
-      {"threads", std::to_string(extractor.num_worker_threads())},
-      // Provenance for scaling comparisons: a 4-thread record measured on a
-      // 1-core box is time-sliced, not parallel — readers need the core
-      // count to interpret it. The active SIMD ISA pins which kernel set
-      // produced the number.
-      {"detected_cores", std::to_string(std::thread::hardware_concurrency())},
-      {"simd", simd::IsaName(simd::ActiveIsa())},
-  };
-  return record;
-}
-
-// Compresses the bench graph into a scratch container and measures the same
-// workload through the demand-paging reader. The default 64 MB cache holds
-// every block, so this isolates decode + view overhead from eviction cost
-// (the out-of-core CI smoke covers the eviction regime).
-hsgf::bench::BenchRecord MeasureCGraphThroughput(int threads, int num_nodes,
-                                                 int repeats) {
-  const char* tmp = std::getenv("TMPDIR");
-  const std::string path =
-      std::string((tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp") +
-      "/hsgf_bench_census_" + std::to_string(getpid()) + ".hscg";
-  gstore::CGraphError error;
-  if (!gstore::WriteCompressedGraph(path, LoadGraph(), &error)) {
-    std::fprintf(stderr, "cgraph write failed: %s\n", error.message.c_str());
-    std::abort();
-  }
-  auto compressed = gstore::CompressedGraph::Open(path, {}, &error);
-  if (compressed == nullptr) {
-    std::fprintf(stderr, "cgraph open failed: %s\n", error.message.c_str());
-    std::abort();
-  }
-  hsgf::bench::BenchRecord record = MeasureThroughputOn(
-      *compressed, "census_throughput_emax5_cgraph", "cgraph", threads,
-      num_nodes, repeats);
-  compressed.reset();
-  std::remove(path.c_str());
-  return record;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Bench-local flags (parsed before google-benchmark sees argv):
-  //   --bench_json PATH   write the throughput record to PATH (default
-  //                       BENCH_census.json in the working directory)
-  //   --throughput_only 1 skip the google-benchmark suite (CI perf-smoke)
-  //   --threads N         extractor threads (0 = hardware concurrency)
-  //   --throughput_nodes N / --throughput_repeats N  measurement size
-  const std::string json_path = hsgf::bench::FlagString(
-      argc, argv, "--bench_json", "BENCH_census.json");
-  const bool throughput_only =
-      hsgf::bench::FlagInt(argc, argv, "--throughput_only", 0) != 0;
-  const int threads = hsgf::bench::FlagInt(argc, argv, "--threads", 0);
-  const int num_nodes =
-      hsgf::bench::FlagInt(argc, argv, "--throughput_nodes", 128);
-  const int repeats =
-      hsgf::bench::FlagInt(argc, argv, "--throughput_repeats", 3);
-
-  if (!throughput_only) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-
-  // Three records per run: the historical single-storage trajectory (CSR,
-  // whatever --threads asks for — the committed baseline pins 1), the same
-  // workload through the compressed container, and a 4-thread CSR run for
-  // the parallel-scaling trajectory.
-  std::vector<hsgf::bench::BenchRecord> records;
-  records.push_back(MeasureThroughputOn(LoadGraph(),
-                                        "census_throughput_emax5_mt", "csr",
-                                        threads, num_nodes, repeats));
-  records.push_back(MeasureCGraphThroughput(threads, num_nodes, repeats));
-  records.push_back(MeasureThroughputOn(LoadGraph(),
-                                        "census_throughput_emax5_mt4", "csr",
-                                        4, num_nodes, repeats));
-  for (const hsgf::bench::BenchRecord& record : records) {
-    std::printf("%s: %.3f s wall, %lld subgraphs, %.3g subgraphs/s\n",
-                record.name.c_str(), record.wall_s,
-                static_cast<long long>(record.subgraphs),
-                record.subgraphs_per_s);
-  }
-  if (records[0].subgraphs != records[1].subgraphs) {
-    std::fprintf(stderr,
-                 "cgraph subgraph total diverged from CSR (%lld vs %lld)\n",
-                 static_cast<long long>(records[1].subgraphs),
-                 static_cast<long long>(records[0].subgraphs));
-    return 1;
-  }
-  if (!hsgf::bench::WriteBenchJson(json_path, "census", records)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
-}
+BENCHMARK_MAIN();

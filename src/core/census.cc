@@ -17,6 +17,9 @@ CensusMetrics CensusMetrics::Register(util::MetricsRegistry& registry,
   }
   metrics.distinct_encodings = registry.Counter("census.distinct_encodings");
   metrics.label_group_saved = registry.Counter("census.label_group_saved");
+  metrics.leaf_groups = registry.Counter("census.leaf_groups");
+  metrics.leaf_group_fallbacks =
+      registry.Counter("census.leaf_group_fallbacks");
   metrics.dmax_blocked = registry.Counter("census.dmax_blocked");
   metrics.encoding_materializations =
       registry.Counter("census.encoding_materializations");

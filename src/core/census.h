@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "core/encoding.h"
 #include "core/rolling_hash.h"
 #include "graph/het_graph.h"
-#include "simd/kernels.h"
 #include "util/check.h"
 #include "util/flat_count_map.h"
 #include "util/metrics.h"
@@ -41,23 +41,13 @@ struct CensusConfig {
   // Apply the paper's "Heterogeneous Optimization Heuristic": batch the
   // census-count increments of consecutive same-label new-node extensions
   // (one hash-map update per label group instead of one per neighbour).
-  // Identical results either way; exposed for the ablation benchmark.
-  // Undirected only: a directed census counts one arc at a time, because a
-  // batched count would move its budget-truncation points.
+  // One edge short of max_edges the census goes further and counts every
+  // child's leaf subgraphs of such a run in one pass, one update per leaf
+  // hash (DESIGN.md §Performance). Identical results either way; exposed
+  // for the ablation benchmark. Undirected only: a directed census counts
+  // one arc at a time, because a batched count would move its
+  // budget-truncation points.
   bool group_by_label = true;
-
-  // Minimum remaining-segment length worth an indirect vector-kernel call in
-  // the grouping scan. The kernel's fixed cost — dispatch through the table
-  // plus broadcasting every current member into vector lanes — only
-  // amortizes over a long stretch, and on the evaluation workload runs are
-  // short: 64 was measured noise-neutral against pure scalar (the vector
-  // path fires only on long hub runs, where it is free), while 16 was a
-  // measured ~4% regression. Below the threshold the scan stays inline and
-  // branchy — same predicate, same result. Tests set 1 to force every run
-  // through the kernels; a huge value keeps every scan inline, and so does
-  // the scalar ISA, whose kernel compares each candidate with every member
-  // where the inline loop reads one epoch stamp.
-  size_t vector_scan_min = 64;
 
   // Pass each per-node linear hash contribution through a 64-bit finalizer
   // before summing. The paper's Eq. 5 sums the raw linear contributions,
@@ -113,9 +103,16 @@ struct CensusMetrics {
   std::vector<util::MetricId> subgraphs_by_edges;
   // census.distinct_encodings — per-node distinct hashes, summed over nodes.
   util::MetricId distinct_encodings = util::kInvalidMetric;
-  // census.label_group_saved — hash-map updates avoided by the label-
-  // grouping heuristic (batch size minus one per batched increment, §4.3.4).
+  // census.label_group_saved — count-map updates avoided by grouping
+  // (§4.3.4): subgraphs counted minus count-map updates made, over grouped
+  // runs and leaf groups alike.
   util::MetricId label_group_saved = util::kInvalidMetric;
+  // census.leaf_groups — grouped runs, one edge short of max_edges, whose
+  // children's leaf subgraphs were counted in one pass.
+  util::MetricId leaf_groups = util::kInvalidMetric;
+  // census.leaf_group_fallbacks — such runs that went child by child
+  // instead, because their leaf subgraphs would reach max_subgraphs.
+  util::MetricId leaf_group_fallbacks = util::kInvalidMetric;
   // census.dmax_blocked — frontier expansions suppressed by dmax (§4.3.5).
   util::MetricId dmax_blocked = util::kInvalidMetric;
   // census.encoding_materializations — canonical encodings built
@@ -284,17 +281,14 @@ ChangedEdges::ChangedEdges(
 // the next call (gstore::GraphView pages blocks in and out under this exact
 // contract). Enumeration order — and therefore every output, including
 // budget-truncation points — depends only on the adjacency sequences, not on
-// the storage or on the SIMD dispatch level, which is what makes
-// compressed-vs-CSR and scalar-vs-vector censuses bit-identical.
+// the storage, which is what makes compressed-vs-CSR censuses bit-identical.
 //
-// Inner-loop layout (the SIMD kernel contract): candidates live in a
-// structure-of-arrays arena (cand_to_ / cand_label_), segments carry their
-// shared `from` endpoint and side, and the current subgraph's nodes are
-// mirrored in the small member_nodes_ list — so when a grouping run is long
-// enough (CensusConfig::vector_scan_min) the scan is one
-// simd::LabelRunLength call over the segment instead of per-candidate
-// label/epoch gathers, and the per-run hash terms are computed once at the
-// run head and installed per child.
+// Inner-loop layout: candidates live in a structure-of-arrays arena
+// (cand_to_ / cand_label_) and segments carry their shared `from` endpoint
+// and side, so the grouping scan reads one label and one epoch stamp per
+// candidate, and the per-run hash terms are computed once at the run head
+// and installed per child. One edge short of max_edges, a grouped run's
+// children are not installed at all: CountLeafGroup counts their leaves.
 template <typename GraphT>
 class BasicCensusWorker {
  public:
@@ -371,6 +365,28 @@ class BasicCensusWorker {
     uint64_t to_mixed_before;   // cycle-closing edges only
   };
 
+  // The subgraph hash after adding one edge to the current subgraph, with
+  // the absolute contributions of both endpoints that the apply installs.
+  struct EdgeTerms {
+    uint64_t hash_after;
+    uint64_t from_linear_after;
+    uint64_t from_mixed_after;
+    uint64_t to_linear_after;
+    uint64_t to_mixed_after;
+  };
+
+  // One head of a frame one edge short of max_edges, with its grouping run
+  // (see ScanLeafRuns).
+  struct LeafRun {
+    Cursor head;
+    int64_t length;  // candidates in the run
+    int64_t rest;    // candidates from the head to the end of the frame
+    EdgeTerms terms;  // of the head edge, in this frame
+    graph::NodeId from;
+    graph::Label label;
+    bool is_new;  // the head adds a node (else it closes a cycle)
+  };
+
   // Side of a segment; the constant kIn on an undirected graph, so the
   // undirected hot loop carries no side at run time.
   static uint8_t SideOf(const Segment& segment) {
@@ -403,6 +419,41 @@ class BasicCensusWorker {
 
   uint64_t MixedContribution(graph::NodeId v) const;
 
+  // Terms of adding edge (from, to) on `side` to the current subgraph; `to`
+  // joins as a new node iff `to_is_new`, and is not read then (a new node's
+  // contribution depends only on the side and the label pair).
+  EdgeTerms TermsOf(graph::NodeId from, uint8_t side, graph::NodeId to,
+                    graph::Label to_label, bool to_is_new) const {
+    const size_t n = static_cast<size_t>(num_effective_labels_);
+    const graph::Label la = EffectiveLabel(from);
+    EdgeTerms terms;
+    terms.from_linear_after =
+        linear_contribution_[from] + Power(side, la, to_label);
+    const uint64_t to_power = Power(Opposite(side), to_label, la);
+    terms.to_linear_after =
+        to_is_new ? to_power : linear_contribution_[to] + to_power;
+    // The finalizations run inline: a new node's mixed contribution is a
+    // pure (side, label pair) function served from mixed_power_.
+    terms.from_mixed_after = config_.mix_contributions
+                                 ? census_internal::Mix(terms.from_linear_after)
+                                 : terms.from_linear_after;
+    if (to_is_new) {
+      terms.to_mixed_after = mixed_power_[(side * n + la) * n + to_label];
+      HSGF_DCHECK_EQ(terms.to_mixed_after,
+                     config_.mix_contributions
+                         ? census_internal::Mix(terms.to_linear_after)
+                         : terms.to_linear_after);
+    } else {
+      terms.to_mixed_after = config_.mix_contributions
+                                 ? census_internal::Mix(terms.to_linear_after)
+                                 : terms.to_linear_after;
+    }
+    terms.hash_after = current_hash_ - mixed_contribution_[from] +
+                       terms.from_mixed_after + terms.to_mixed_after;
+    if (!to_is_new) terms.hash_after -= mixed_contribution_[to];
+    return terms;
+  }
+
   // True iff the dmax heuristic forbids expanding through v.
   bool IsBlocked(graph::NodeId v) const {
     return v != start_ && OverDmax(graph_, v, config_.max_degree);
@@ -428,6 +479,37 @@ class BasicCensusWorker {
       c.pos = c.seg < seg_end ? seg_stack_[c.seg].begin : 0;
     }
   }
+
+  // The label-grouping scan: advances `j` past the candidates that extend
+  // `from` with a new node labelled `label`, and returns how many it passed.
+  int64_t ExtendRun(Cursor& j, size_t seg_end, graph::NodeId from,
+                    graph::Label label) const;
+
+  // Whether frames one edge short of max_edges count each grouped run's
+  // leaf subgraphs in one pass (CountLeafGroup). Not in a directed census,
+  // which does not group; not in RunThrough, whose count depends on each
+  // child's own edge; not without grouping; and not with keep_encodings,
+  // because which encoding a colliding hash keeps depends on the order its
+  // subgraphs are met in.
+  template <bool kFiltered>
+  bool CountsLeafGroups() const {
+    return !kDirected && !kFiltered && config_.group_by_label &&
+           !config_.keep_encodings;
+  }
+
+  // Fills leaf_runs_ with the heads and runs of the frame over
+  // seg_stack_[seg_begin, seg_end), exactly as its loop will meet them.
+  void ScanLeafRuns(size_t seg_begin, size_t seg_end);
+
+  // Counts the leaf subgraphs of every child of the grouped run
+  // leaf_runs_[index], in a frame at `depth` == max_edges - 2, without
+  // applying one: the children differ only in which same-label node joined,
+  // so each leaf hash is the same for all of them. Returns false, having
+  // counted nothing, when the count would reach max_subgraphs; the children
+  // then run one by one so truncation stops at the same subgraph. Polls the
+  // StopToken once and sets result.stopped, counting nothing, if it fired.
+  bool CountLeafGroup(size_t index, int depth, CensusResult& result)
+    requires(!DirectedCensusGraph<GraphT>);
 
   // Run and RunThrough: kFiltered compiles the changed-edge filter in, so
   // Run's instantiation carries none of it.
@@ -482,11 +564,6 @@ class BasicCensusWorker {
   bool has_stop_ = false;
   int stop_countdown_ = kStopCheckInterval;
 
-  // Kernel table and grouping-scan threshold, resolved once per Run() so the
-  // dispatch level cannot flip mid-census.
-  const simd::KernelTable* kernels_ = nullptr;
-  size_t scan_min_ = 0;
-
   // Per-node scratch, epoch-stamped so Run() needs no O(V) clear.
   std::vector<uint64_t> node_epoch_;
   std::vector<uint64_t> linear_contribution_;  // Σ_i t_i b_v^i for in-subgraph nodes
@@ -495,13 +572,6 @@ class BasicCensusWorker {
   // nothing extra — the apply path computes the mixed values anyway for the
   // run hash — and saves re-finalizing unchanged endpoints per run.
   std::vector<uint64_t> mixed_contribution_;
-
-  // The current subgraph's nodes (including start_), push/popped in lockstep
-  // with joins/leaves. Mirrors the epoch stamps: v is in the subgraph iff it
-  // appears here. At most max_edges + 1 entries, so membership tests in the
-  // grouping scan are broadcast compares against this list instead of
-  // random-access epoch gathers.
-  std::vector<graph::NodeId> member_nodes_;
 
   // Structure-of-arrays candidate arena, one frontier run per frame:
   // cand_to_[i] is the outside (or cycle-closing) endpoint, cand_label_[i]
@@ -524,16 +594,26 @@ class BasicCensusWorker {
   struct BatchedCounters {
     int64_t subgraphs_total = 0;
     int64_t label_group_saved = 0;
+    int64_t leaf_groups = 0;
+    int64_t leaf_group_fallbacks = 0;
     int64_t dmax_blocked = 0;
     int64_t encoding_materializations = 0;
     std::vector<int64_t> subgraphs_by_edges;  // size config_.max_edges
   };
   BatchedCounters batch_;
 
+  // Leaf-group scratch. Only one frame one edge short of max_edges is live
+  // at a time, so one table serves them all. leaf_label_counts_ (per graph
+  // label) is all zero between groups.
+  std::vector<LeafRun> leaf_runs_;
+  std::vector<int64_t> leaf_label_counts_;
+  // (blocked member, cycle-closing edges into it from the siblings).
+  std::vector<std::pair<graph::NodeId, int64_t>> leaf_cycle_closers_;
+
   // RunThrough state: the changed edges, the start node's distance to them
   // (its dmax exemption included), how many changed edges the current
-  // subgraph holds, and per member (in member_nodes_ order) the least
-  // distance of any member up to it.
+  // subgraph holds, and per member, in joining order, the least distance of
+  // any member up to it.
   const ChangedEdges* changed_ = nullptr;
   int start_distance_ = ChangedEdges::kFar;
   int changed_held_ = 0;
@@ -589,7 +669,7 @@ BasicCensusWorker<GraphT>::BasicCensusWorker(const GraphT& graph,
         static_cast<size_t>(config_.max_edges), util::kInvalidMetric);
   }
   batch_.subgraphs_by_edges.assign(static_cast<size_t>(config_.max_edges), 0);
-  member_nodes_.reserve(static_cast<size_t>(config_.max_edges) + 1);
+  leaf_label_counts_.assign(static_cast<size_t>(graph.num_labels()), 0);
 
   const size_t n = static_cast<size_t>(num_effective_labels_);
   power_.resize(kSides * n * n);
@@ -742,9 +822,6 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
   HSGF_DCHECK_LE(seg_end, seg_stack_.size());
   HSGF_DCHECK_LT(depth, config_.max_edges);
   HSGF_DCHECK_EQ(edge_stack_.size(), static_cast<size_t>(depth));
-  const simd::KernelTable& kernels = *kernels_;
-  const size_t scan_min = scan_min_;
-  const size_t n = static_cast<size_t>(num_effective_labels_);
   // Leaf frames have no child-apply work to hide the count-table miss
   // under, so prefetching there is pure overhead; non-leaf frames issue the
   // prefetch before the grouping scan and the apply loop covers the
@@ -752,6 +829,13 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
   // measured a ~7% pessimization — the extra store/reload traffic cost
   // more than the overlapped probes saved on this cache-resident table.)
   const bool leaf = depth + 1 >= config_.max_edges;
+  // One edge short of max_edges, the frame scans its heads up front so each
+  // grouped run can count its children's leaves against the rest of the
+  // frame (CountLeafGroup); the loop then reads the heads from the table.
+  const bool leaf_groups =
+      CountsLeafGroups<kFiltered>() && depth + 2 == config_.max_edges;
+  if (leaf_groups) ScanLeafRuns(seg_begin, seg_end);
+  size_t head_index = 0;
   // Per-frame accumulators for the batched instrumentation counters: one
   // memory RMW per frame instead of three per head. result.total_subgraphs
   // is the exception — the budget check and child frames read it live.
@@ -793,72 +877,26 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
     // scan and the count-table slot prefetched: the table is the one
     // cache-missing access per head, and the scan is exactly the unrelated
     // work to hide that miss under.
-    const graph::Label la = EffectiveLabel(head_from);
-    const graph::Label lb = head_label;
-    const uint64_t from_linear_after =
-        linear_contribution_[head_from] + Power(side, la, lb);
-    const uint64_t to_power = Power(Opposite(side), lb, la);
-    const uint64_t to_linear_after =
-        head_is_new_node ? to_power : linear_contribution_[head_to] + to_power;
-    // The finalizations run inline: a new node's mixed contribution is a
-    // pure (side, label pair) function served from mixed_power_, and the
-    // one remaining data-dependent Mix is too small for a kernel call to
-    // amortize.
-    const uint64_t from_mixed_after = config_.mix_contributions
-                                          ? census_internal::Mix(from_linear_after)
-                                          : from_linear_after;
-    uint64_t to_mixed_after;
-    if (head_is_new_node) {
-      to_mixed_after = mixed_power_[(side * n + la) * n + lb];
-      HSGF_DCHECK_EQ(to_mixed_after, config_.mix_contributions
-                                         ? census_internal::Mix(to_linear_after)
-                                         : to_linear_after);
-    } else {
-      to_mixed_after = config_.mix_contributions
-                           ? census_internal::Mix(to_linear_after)
-                           : to_linear_after;
-    }
-    uint64_t hash_after = current_hash_ - mixed_contribution_[head_from] +
-                          from_mixed_after + to_mixed_after;
-    if (!head_is_new_node) hash_after -= mixed_contribution_[head_to];
+    const EdgeTerms terms =
+        leaf_groups ? leaf_runs_[head_index].terms
+                    : TermsOf(head_from, side, head_to, head_label,
+                              head_is_new_node);
+    const uint64_t hash_after = terms.hash_after;
     if (!leaf) result.counts.Prefetch(hash_after);
 
     Cursor j = i;
-    Advance(j, seg_end);
     int64_t run = 1;
-    if constexpr (!kDirected) {
-      if (head_is_new_node && config_.group_by_label) {
-        // Heterogeneous optimization heuristic: consecutive candidates that
-        // extend the same subgraph node with a *new* neighbour of the same
-        // label all produce the same encoding (and hash); batch their count.
-        // Runs may span segment boundaries — adjacent segments were adjacent
-        // in the flat candidate list this layout replaces — and segments are
-        // from-homogeneous, so the per-candidate scan is one vector kernel
-        // call per touched segment (labels against head_label, ids against
-        // the member list).
-        while (j.seg < seg_end && seg_stack_[j.seg].from == head_from) {
-          const Segment& seg = seg_stack_[j.seg];
-          const size_t avail = seg.end - j.pos;
-          size_t ext;
-          if (avail >= scan_min) {
-            ext = kernels.label_run_length(
-                cand_to_.data() + j.pos, cand_label_.data() + j.pos, avail,
-                head_label, member_nodes_.data(), member_nodes_.size());
-          } else {
-            // Same predicate inline (the epoch stamp and the member list
-            // agree by construction); short stretches don't repay the
-            // kernel call.
-            ext = 0;
-            while (ext < avail && cand_label_[j.pos + ext] == head_label &&
-                   !InSubgraph(cand_to_[j.pos + ext])) {
-              ++ext;
-            }
-          }
-          run += static_cast<int64_t>(ext);
-          j.pos += ext;
-          if (j.pos < seg.end) break;
-          ++j.seg;
-          j.pos = j.seg < seg_end ? seg_stack_[j.seg].begin : 0;
+    if (leaf_groups) {
+      HSGF_DCHECK(leaf_runs_[head_index].head.seg == i.seg &&
+                  leaf_runs_[head_index].head.pos == i.pos);
+      run = leaf_runs_[head_index].length;
+      j = head_index + 1 < leaf_runs_.size() ? leaf_runs_[head_index + 1].head
+                                             : Cursor{seg_end, 0};
+    } else {
+      Advance(j, seg_end);
+      if constexpr (!kDirected) {
+        if (head_is_new_node && config_.group_by_label) {
+          run += ExtendRun(j, seg_end, head_from, head_label);
         }
       }
     }
@@ -884,7 +922,7 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
       result.counts.Add(hash_after, counted);
       result.total_subgraphs += counted;
       frame_subgraphs += counted;
-      if (run > 1) frame_saved += run - 1;
+      frame_saved += counted - 1;
       if (config_.keep_encodings && !result.encodings.contains(hash_after)) {
         edge_stack_.push_back(Oriented(head_from, head_to, side));
         result.encodings.emplace(hash_after, MaterializeEncoding());
@@ -893,7 +931,21 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
       }
     }
 
-    if (depth + 1 < config_.max_edges) {
+    // A grouped run one edge short of max_edges counts its children's leaf
+    // subgraphs in one pass; near the budget its children run one by one.
+    bool children_counted = false;
+    if constexpr (!kDirected) {
+      if (leaf_groups && head_is_new_node) {
+        children_counted = CountLeafGroup(head_index, depth, result);
+        if (result.stopped) {
+          commit_frame();
+          return;
+        }
+      }
+    }
+    ++head_index;
+
+    if (!leaf && !children_counted) {
       for (Cursor k = i; k.seg != j.seg || k.pos != j.pos;
            Advance(k, seg_end)) {
         if (result.truncated || result.stopped) {
@@ -929,15 +981,12 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
                                mixed_contribution_[head_from],
                                head_is_new_node ? 0 : linear_contribution_[to],
                                head_is_new_node ? 0 : mixed_contribution_[to]});
-        linear_contribution_[head_from] = from_linear_after;
-        mixed_contribution_[head_from] = from_mixed_after;
-        linear_contribution_[to] = to_linear_after;
-        mixed_contribution_[to] = to_mixed_after;
+        linear_contribution_[head_from] = terms.from_linear_after;
+        mixed_contribution_[head_from] = terms.from_mixed_after;
+        linear_contribution_[to] = terms.to_linear_after;
+        mixed_contribution_[to] = terms.to_mixed_after;
         current_hash_ = hash_after;
-        if (head_is_new_node) {
-          node_epoch_[to] = epoch_;
-          member_nodes_.push_back(to);
-        }
+        if (head_is_new_node) node_epoch_[to] = epoch_;
         if constexpr (kFiltered) {
           changed_held_ += changed_edge ? 1 : 0;
           if (head_is_new_node) {
@@ -976,7 +1025,6 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
         mixed_contribution_[head_from] = undo.from_mixed_before;
         if (undo.added != -1) {
           node_epoch_[to] = 0;  // leave the subgraph
-          member_nodes_.pop_back();
         } else {
           linear_contribution_[to] = undo.to_linear_before;
           mixed_contribution_[to] = undo.to_mixed_before;
@@ -991,6 +1039,190 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
     i = j;
   }
   commit_frame();
+}
+
+template <typename GraphT>
+int64_t BasicCensusWorker<GraphT>::ExtendRun(Cursor& j, size_t seg_end,
+                                             graph::NodeId from,
+                                             graph::Label label) const {
+  // Heterogeneous optimization heuristic: consecutive candidates that extend
+  // the same subgraph node with a *new* neighbour of the same label all
+  // produce the same encoding (and hash), so their count is batched.
+  int64_t passed = 0;
+  while (j.seg < seg_end && seg_stack_[j.seg].from == from) {
+    const Segment& seg = seg_stack_[j.seg];
+    const size_t begin = j.pos;
+    while (j.pos < seg.end && cand_label_[j.pos] == label &&
+           !InSubgraph(cand_to_[j.pos])) {
+      ++j.pos;
+    }
+    passed += static_cast<int64_t>(j.pos - begin);
+    if (j.pos < seg.end) break;
+    ++j.seg;
+    j.pos = j.seg < seg_end ? seg_stack_[j.seg].begin : 0;
+  }
+  return passed;
+}
+
+template <typename GraphT>
+void BasicCensusWorker<GraphT>::ScanLeafRuns(size_t seg_begin,
+                                             size_t seg_end) {
+  leaf_runs_.clear();
+  Cursor i{seg_begin, seg_begin < seg_end ? seg_stack_[seg_begin].begin : 0};
+  while (i.seg < seg_end) {
+    LeafRun head;
+    head.head = i;
+    head.from = seg_stack_[i.seg].from;
+    head.label = cand_label_[i.pos];
+    head.is_new = !InSubgraph(cand_to_[i.pos]);
+    head.terms =
+        TermsOf(head.from, kIn, cand_to_[i.pos], head.label, head.is_new);
+    Advance(i, seg_end);
+    head.length = 1;
+    if (head.is_new) head.length += ExtendRun(i, seg_end, head.from, head.label);
+    leaf_runs_.push_back(head);
+  }
+  int64_t rest = 0;
+  for (auto it = leaf_runs_.rbegin(); it != leaf_runs_.rend(); ++it) {
+    rest += it->length;
+    it->rest = rest;
+  }
+}
+
+template <typename GraphT>
+bool BasicCensusWorker<GraphT>::CountLeafGroup(size_t index, int depth,
+                                               CensusResult& result)
+  requires(!DirectedCensusGraph<GraphT>)
+{
+  HSGF_DCHECK_EQ(depth + 2, config_.max_edges);
+  if (has_stop_ && stop_.StopRequested()) {
+    result.stopped = true;
+    return true;
+  }
+  const LeafRun& group = leaf_runs_[index];
+  const graph::NodeId f0 = group.from;
+  const graph::Label label = group.label;
+  const int64_t r = group.length;
+  // The siblings: the run's candidates, one stretch of one label in f0's
+  // adjacency, so ascending by id. (Undirected segments of one frame have
+  // distinct `from`s, so a run never spans two.) Nothing below appends to
+  // the arena, so the span stays valid.
+  HSGF_DCHECK_LE(group.head.pos + static_cast<size_t>(r),
+                 seg_stack_[group.head.seg].end);
+  const std::span<const graph::NodeId> siblings(
+      cand_to_.data() + group.head.pos, static_cast<size_t>(r));
+  HSGF_DCHECK(std::is_sorted(siblings.begin(), siblings.end()));
+
+  // (C) Each sibling's own frontier, as AppendFrontierOf would build it in
+  // its child: every non-member neighbour (other siblings included) by
+  // label, plus the cycle-closing edges into blocked members.
+  int64_t frontier = 0;
+  int64_t blocked = 0;
+  leaf_cycle_closers_.clear();
+  for (const graph::NodeId s : siblings) {
+    if (IsBlocked(s)) {
+      ++blocked;
+      continue;
+    }
+    for (const graph::NodeId y : graph_.neighbors(s)) {
+      if (!InSubgraph(y)) {
+        ++leaf_label_counts_[graph_.label(y)];
+        ++frontier;
+      } else if (IsBlocked(y)) {
+        auto it = std::find_if(
+            leaf_cycle_closers_.begin(), leaf_cycle_closers_.end(),
+            [y](const auto& closer) { return closer.first == y; });
+        if (it == leaf_cycle_closers_.end()) {
+          leaf_cycle_closers_.emplace_back(y, 1);
+        } else {
+          ++it->second;
+        }
+        ++frontier;
+      }
+    }
+  }
+  // Every child counts the siblings after it (A), the rest of the frame
+  // (B) and its own frontier (C).
+  const int64_t rest = group.rest - r;
+  const int64_t total = r * (r - 1) / 2 + r * rest + frontier;
+  if (config_.max_subgraphs > 0 &&
+      result.total_subgraphs + total >= config_.max_subgraphs) {
+    std::fill(leaf_label_counts_.begin(), leaf_label_counts_.end(), 0);
+    ++batch_.leaf_group_fallbacks;
+    return false;
+  }
+
+  // Install the state every child shares — the hash after the run's edge
+  // and f0's contribution after it — and one sibling's contribution as the
+  // stand-in for all of them; TermsOf then gives each leaf hash.
+  const uint64_t frame_hash = current_hash_;
+  const uint64_t f0_linear = linear_contribution_[f0];
+  const uint64_t f0_mixed = mixed_contribution_[f0];
+  const graph::NodeId s0 = siblings.front();
+  current_hash_ = group.terms.hash_after;
+  linear_contribution_[f0] = group.terms.from_linear_after;
+  mixed_contribution_[f0] = group.terms.from_mixed_after;
+  linear_contribution_[s0] = group.terms.to_linear_after;
+  mixed_contribution_[s0] = group.terms.to_mixed_after;
+
+  int64_t updates = 0;
+  auto add = [&](uint64_t hash, int64_t count) {
+    if (count == 0) return;
+    result.counts.Add(hash, count);
+    ++updates;
+  };
+  // (A) Child k's candidates start with the r - 1 - k siblings after it.
+  add(TermsOf(f0, kIn, -1, label, true).hash_after, r * (r - 1) / 2);
+  // (B) Every later head of this frame, in each of the r children. A head
+  // from another member keeps its hash step; one from f0 is re-derived,
+  // because f0's contribution changed.
+  for (size_t u = index + 1; u < leaf_runs_.size(); ++u) {
+    const LeafRun& head = leaf_runs_[u];
+    int64_t count = r * head.length;
+    if (head.from == f0) {
+      add(TermsOf(f0, kIn, cand_to_[head.head.pos], head.label, head.is_new)
+              .hash_after,
+          count);
+      continue;
+    }
+    if (head.is_new && head.label == label) {
+      // A sibling inside the run is, in its own child, a member: that one
+      // edge closes a cycle there instead of adding a node.
+      const graph::NodeId* run_begin = cand_to_.data() + head.head.pos;
+      const graph::NodeId* run_end = run_begin + head.length;
+      int64_t hits = 0;
+      for (const graph::NodeId s : siblings) {
+        run_begin = std::lower_bound(run_begin, run_end, s);
+        if (run_begin == run_end) break;
+        if (*run_begin == s) ++hits;
+      }
+      add(TermsOf(head.from, kIn, s0, label, false).hash_after, hits);
+      count -= hits;
+    }
+    add(current_hash_ + (head.terms.hash_after - frame_hash), count);
+  }
+  // (C) The siblings' frontiers, pooled: a sibling's contribution in its
+  // own child is the same for all of them.
+  for (size_t l = 0; l < leaf_label_counts_.size(); ++l) {
+    if (leaf_label_counts_[l] == 0) continue;
+    add(TermsOf(s0, kIn, -1, static_cast<graph::Label>(l), true).hash_after,
+        leaf_label_counts_[l]);
+    leaf_label_counts_[l] = 0;
+  }
+  for (const auto& [y, count] : leaf_cycle_closers_) {
+    add(TermsOf(s0, kIn, y, graph_.label(y), false).hash_after, count);
+  }
+
+  current_hash_ = frame_hash;
+  linear_contribution_[f0] = f0_linear;
+  mixed_contribution_[f0] = f0_mixed;
+  result.total_subgraphs += total;
+  batch_.subgraphs_total += total;
+  batch_.subgraphs_by_edges[depth + 1] += total;
+  batch_.label_group_saved += total - updates;
+  batch_.dmax_blocked += blocked;
+  ++batch_.leaf_groups;
+  return true;
 }
 
 template <typename GraphT>
@@ -1038,16 +1270,6 @@ void BasicCensusWorker<GraphT>::Census(graph::NodeId start,
     linear_contribution_[start] = 0;
     mixed_contribution_[start] = MixedContribution(start);  // Mix(0) == 0
     current_hash_ = mixed_contribution_[start];
-    kernels_ = &simd::ActiveKernels();
-    // The scalar kernel compares each candidate with every member where the
-    // inline scan reads one epoch stamp, so on the scalar ISA the kernel
-    // call cannot win: the scan stays inline whatever vector_scan_min says.
-    scan_min_ = kernels_ == simd::KernelsFor(simd::IsaLevel::kScalar)
-                    ? SIZE_MAX
-                    : config_.vector_scan_min;
-
-    member_nodes_.clear();
-    member_nodes_.push_back(start);
     cand_to_.clear();
     cand_label_.clear();
     seg_stack_.clear();
@@ -1083,8 +1305,6 @@ void BasicCensusWorker<GraphT>::Census(graph::NodeId start,
         << edge_stack_.size() << " edges left on the stack after unwind";
     HSGF_DCHECK(undo_stack_.empty())
         << undo_stack_.size() << " undo records left after unwind";
-    HSGF_DCHECK_EQ(member_nodes_.size(), size_t{1})
-        << "member list not unwound to the start node";
     HSGF_DCHECK_EQ(seg_stack_.size(), root_segments)
         << "segment stack not unwound to the root frame";
     HSGF_DCHECK_EQ(linear_contribution_[start], uint64_t{0})
@@ -1119,6 +1339,13 @@ void BasicCensusWorker<GraphT>::Census(graph::NodeId start,
       registry->Increment(metrics_.label_group_saved,
                           batch_.label_group_saved);
     }
+    if (batch_.leaf_groups != 0) {
+      registry->Increment(metrics_.leaf_groups, batch_.leaf_groups);
+    }
+    if (batch_.leaf_group_fallbacks != 0) {
+      registry->Increment(metrics_.leaf_group_fallbacks,
+                          batch_.leaf_group_fallbacks);
+    }
     if (batch_.dmax_blocked != 0) {
       registry->Increment(metrics_.dmax_blocked, batch_.dmax_blocked);
     }
@@ -1133,6 +1360,8 @@ void BasicCensusWorker<GraphT>::Census(graph::NodeId start,
   }
   batch_.subgraphs_total = 0;
   batch_.label_group_saved = 0;
+  batch_.leaf_groups = 0;
+  batch_.leaf_group_fallbacks = 0;
   batch_.dmax_blocked = 0;
   batch_.encoding_materializations = 0;
   std::fill(batch_.subgraphs_by_edges.begin(),

@@ -38,14 +38,15 @@ struct ExtractorConfig {
   unsigned num_threads = 1;
 
   // Multi-root batching: group roots that share a high-degree neighbour and
-  // run each group consecutively on one census worker. Measured on the
-  // benchmark's hub-heavy extract workload, turning it off made a Run 9–27%
-  // slower. The likely cause is locality: consecutive censuses around one
-  // hub walk the same hub adjacency and neighbour labels while they are
-  // still cached (with paged storage, while the hub's blocks are still
-  // pinned). Pure scheduling: results are keyed by caller index, so the
-  // feature matrix is bit-identical with batching on or off, at any thread
-  // count (differential-tested).
+  // run each group consecutively on one census worker, so consecutive
+  // censuses around one hub can find its adjacency still cached (with paged
+  // storage, its blocks still pinned). On the census with the aggregated
+  // last edge it has no measurable effect on the hub-heavy extract
+  // workload: over 16 interleaved pairs of five four-thread Runs, turning
+  // it off changed the median Run by +1.5%, inside the noise (EXPERIMENTS.md
+  // §Aggregated last edge). Pure scheduling: results are keyed by caller
+  // index, so the feature matrix is bit-identical with batching on or off,
+  // at any thread count (differential-tested).
   bool batch_roots = true;
 
   FeatureBuildOptions features;

@@ -9,7 +9,7 @@
 namespace hsgf::simd::internal {
 
 const KernelTable* NeonKernels() {
-  static const KernelTable table = {&LabelRunLength128, &CompareBytes128};
+  static const KernelTable table = {&CompareBytes128};
   return &table;
 }
 

@@ -11,7 +11,7 @@
 namespace hsgf::simd::internal {
 
 const KernelTable* Sse2Kernels() {
-  static const KernelTable table = {&LabelRunLength128, &CompareBytes128};
+  static const KernelTable table = {&CompareBytes128};
   return &table;
 }
 

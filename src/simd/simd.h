@@ -8,12 +8,12 @@
 //   x86-64 -mavx2 TU    -> plus 256-bit wrappers        (HSGF_SIMD_X256)
 //   aarch64 TU          -> 128-bit wrappers over NEON   (HSGF_SIMD_X128)
 //
-// The wrappers are deliberately tiny: unaligned loads, lane splats, widening
-// byte loads, equality compares, boolean combines and first-set-lane
-// extraction — exactly what the kernels use. Anything a kernel needs beyond
-// this belongs here, not inline in a kernel — this file is the
-// only place in the tree allowed to name raw intrinsics outside the lint
-// exemption list (tools/hsgf_lint.py, raw-intrinsics rule).
+// The wrappers are deliberately tiny: unaligned loads, a lane splat, byte
+// equality compares, negation and first-set-lane extraction — exactly what
+// the kernels use. Anything a kernel needs beyond this belongs here, not
+// inline in a kernel — this file is the only place in the tree allowed to
+// name raw intrinsics outside the lint exemption list (tools/hsgf_lint.py,
+// raw-intrinsics rule).
 //
 // Intentionally header-only and free of project includes: kernel TUs are
 // compiled with per-file ISA flags, and pulling project headers into those
@@ -21,7 +21,6 @@
 // baseline TUs.
 
 #include <cstdint>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -57,14 +56,6 @@ inline V128 Load128(const void* p) {
 #endif
 }
 
-inline V128 Splat32(int32_t x) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_s32(vdupq_n_s32(x))};
-#else
-  return {_mm_set1_epi32(x)};
-#endif
-}
-
 // Lane-wise equality; result lanes are all-ones / all-zeros.
 inline V128 CmpEq8(V128 a, V128 b) {
 #if defined(HSGF_SIMD_NEON)
@@ -74,49 +65,12 @@ inline V128 CmpEq8(V128 a, V128 b) {
 #endif
 }
 
-inline V128 CmpEq32(V128 a, V128 b) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_u32(vceqq_u32(vreinterpretq_u32_u8(a.raw),
-                                         vreinterpretq_u32_u8(b.raw)))};
-#else
-  return {_mm_cmpeq_epi32(a.raw, b.raw)};
-#endif
-}
-
-inline V128 Or128(V128 a, V128 b) {
-#if defined(HSGF_SIMD_NEON)
-  return {vorrq_u8(a.raw, b.raw)};
-#else
-  return {_mm_or_si128(a.raw, b.raw)};
-#endif
-}
-
 inline V128 Not128(V128 a) {
 #if defined(HSGF_SIMD_NEON)
   return {vmvnq_u8(a.raw)};
 #else
   return {_mm_xor_si128(a.raw, _mm_set1_epi32(-1))};
 #endif
-}
-
-// Widens exactly 4 bytes at `p` into 4 uint32 lanes (no overread).
-inline V128 WidenLoad4x8To32(const void* p);
-
-// Widens the low 4 bytes of `a` (loaded as bytes 0..3) into 4 uint32 lanes.
-inline V128 WidenLow4x8To32(V128 a) {
-#if defined(HSGF_SIMD_NEON)
-  return {vreinterpretq_u8_u32(
-      vmovl_u16(vget_low_u16(vmovl_u8(vget_low_u8(a.raw)))))};
-#else
-  const __m128i zero = _mm_setzero_si128();
-  return {_mm_unpacklo_epi16(_mm_unpacklo_epi8(a.raw, zero), zero)};
-#endif
-}
-
-inline V128 WidenLoad4x8To32(const void* p) {
-  uint32_t word = 0;
-  std::memcpy(&word, p, 4);
-  return WidenLow4x8To32(Splat32(static_cast<int32_t>(word)));
 }
 
 // Index (0..15) of the first byte lane whose high bit is set, or 16 if none.
@@ -155,21 +109,8 @@ inline V256 CmpEq8x32(V256 a, V256 b) {
   return {_mm256_cmpeq_epi8(a.raw, b.raw)};
 }
 
-inline V256 CmpEq32x8(V256 a, V256 b) {
-  return {_mm256_cmpeq_epi32(a.raw, b.raw)};
-}
-
-inline V256 Or256(V256 a, V256 b) { return {_mm256_or_si256(a.raw, b.raw)}; }
-
 inline V256 Xor256(V256 a, V256 b) {
   return {_mm256_xor_si256(a.raw, b.raw)};
-}
-
-// Widens 8 bytes at `p` into 8 uint32 lanes (no overread).
-inline V256 WidenLoad8x8To32(const void* p) {
-  __m128i bytes = _mm_setzero_si128();
-  std::memcpy(&bytes, p, 8);  // low 8 bytes; the cvt only reads those
-  return {_mm256_cvtepu8_epi32(bytes)};
 }
 
 // Index (0..31) of the first byte lane whose high bit is set, or 32 if none.

@@ -17,7 +17,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,13 +28,17 @@
 #include "core/directed_census.h"
 #include "core/encoding.h"
 #include "core/rolling_hash.h"
+#include "data/generator.h"
+#include "data/schema.h"
 #include "graph/builder.h"
 #include "graph/digraph.h"
 #include "graph/het_graph.h"
 #include "gstore/cgraph_writer.h"
 #include "gstore/compressed_graph.h"
 #include "simd/dispatch.h"
+#include "util/metrics.h"
 #include "util/rng.h"
+#include "util/stop_token.h"
 
 namespace hsgf::core {
 namespace {
@@ -446,7 +452,21 @@ std::vector<NodeId> PickStarts(NodeId num_nodes, DegreeFn&& degree, int want) {
 
 // --- Tests ------------------------------------------------------------------
 
-TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
+// One undirected input of the differential, with the starts it is run from
+// and the dmax values it is run at.
+struct UndirectedCase {
+  std::string name;
+  HetGraph graph;
+  std::vector<NodeId> starts;
+  std::vector<int> dmax_values;
+  bool mix;
+};
+
+// Five sparse random graphs, plus a clique-heavy LOAD-like graph where
+// siblings of a grouped run are often adjacent to each other and a sibling
+// is often met again in a later member's segment.
+std::vector<UndirectedCase> UndirectedCases() {
+  std::vector<UndirectedCase> cases;
   util::Rng rng(20260806);
   for (int trial = 0; trial < 5; ++trial) {
     const NodeId num_nodes = 12 + 2 * trial;
@@ -462,55 +482,190 @@ TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
     }
     if (edges.empty()) continue;
     HetGraph graph = MakeGraph({"a", "b", "c"}, labels, edges);
+    std::vector<NodeId> starts = PickStarts(
+        num_nodes, [&](NodeId v) { return graph.degree(v); }, 3);
+    cases.push_back({"random" + std::to_string(trial), std::move(graph),
+                     std::move(starts), {0, 3}, trial % 2 == 0});
+  }
+  // Low-degree starts and dmax values that keep the naive reference's work
+  // small: the graph's hubs are blocked, its dense label blocks are not.
+  HetGraph load = data::MakeNetwork(data::LoadLikeSchema(0.1), 7);
+  std::vector<NodeId> starts;
+  for (NodeId v = 0; v < load.num_nodes() && starts.size() < 3; v += 37) {
+    if (load.degree(v) >= 2 && load.degree(v) <= 6) starts.push_back(v);
+  }
+  cases.push_back({"load", std::move(load), std::move(starts), {6, 12}, true});
+  return cases;
+}
 
-    for (bool mask : {false, true}) {
-      for (int dmax : {0, 3}) {
-        for (bool group : {true, false}) {
-          CensusConfig config;
-          config.max_edges = 4;
-          config.max_degree = dmax;
-          config.mask_start_label = mask;
-          config.group_by_label = group;
-          config.mix_contributions = (trial % 2 == 0);
-          config.keep_encodings = true;
+// Every undirected census mode against the naive reference, on the CSR and
+// on a paged compressed copy: emax 2–5 × dmax × mask × grouping × whether
+// encodings are kept, each also under budgets that stop it mid-run. Without
+// encodings and with grouping on, a frame one edge short of emax counts
+// each grouped run's leaves in one pass and falls back to the children one
+// by one when the budget would fire inside them; the metrics prove both
+// paths ran, and budget truncation proves both stop on the same subgraph.
+TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
+  const std::string path = ::testing::TempDir() + "census_diff_modes.hscg";
+  util::MetricsRegistry registry;
+  const CensusMetrics metrics = CensusMetrics::Register(registry, 5);
+  for (const UndirectedCase& input : UndirectedCases()) {
+    SCOPED_TRACE(input.name);
+    const HetGraph& graph = input.graph;
+    gstore::CGraphWriterOptions woptions;
+    woptions.block_target_entries = 4;  // every few nodes cross a block
+    gstore::CGraphError error;
+    ASSERT_TRUE(gstore::WriteCompressedGraph(path, graph, &error, woptions))
+        << error.ToString();
+    gstore::CGraphOptions roptions;
+    roptions.cache_bytes = 1;  // one slot per shard: evictions mid-census
+    auto compressed = gstore::CompressedGraph::Open(path, roptions, &error);
+    ASSERT_NE(compressed, nullptr) << error.ToString();
+    gstore::GraphView view = compressed->MakeView();
 
-          // One worker reused across starts and budget reruns, so the
-          // epoch-stamped scratch and the segment arena survive truncated
-          // unwinds the same way production extraction exercises them.
-          CensusWorker worker(graph, config);
-          ReferenceCensus reference(graph, config);
-          for (NodeId start :
-               PickStarts(num_nodes, [&](NodeId v) { return graph.degree(v); },
-                          3)) {
-            CensusResult expected;
-            CensusResult actual;
-            reference.Run(start, expected);
-            worker.Run(start, actual);
-            ExpectIdenticalResults(expected, actual, Describe(start, config));
+    for (bool keep : {true, false}) {
+      for (int emax = 2; emax <= 5; ++emax) {
+        for (bool mask : {false, true}) {
+          for (int dmax : input.dmax_values) {
+            for (bool group : {true, false}) {
+              CensusConfig config;
+              config.max_edges = emax;
+              config.max_degree = dmax;
+              config.mask_start_label = mask;
+              config.group_by_label = group;
+              config.mix_contributions = input.mix;
+              config.keep_encodings = keep;
 
-            // Budget truncation mid-run: both enumerators must stop at the
-            // same subgraph, making truncation order-sensitive proof of
-            // identical enumeration order. Also the degenerate budget of 1.
-            for (int64_t budget :
-                 {int64_t{1}, expected.total_subgraphs / 2 + 1}) {
-              if (expected.total_subgraphs < 2) break;
-              CensusConfig truncated_config = config;
-              truncated_config.max_subgraphs = budget;
-              CensusWorker truncated_worker(graph, truncated_config);
-              ReferenceCensus truncated_reference(graph, truncated_config);
-              CensusResult expected_truncated;
-              CensusResult actual_truncated;
-              truncated_reference.Run(start, expected_truncated);
-              truncated_worker.Run(start, actual_truncated);
-              EXPECT_TRUE(expected_truncated.truncated ||
-                          expected.total_subgraphs <= budget);
-              ExpectIdenticalResults(expected_truncated, actual_truncated,
-                                     Describe(start, truncated_config));
+              // One worker per storage reused across starts, so the
+              // epoch-stamped scratch and the segment arena carry over
+              // between censuses as production extraction has them.
+              CensusWorker worker(graph, config, metrics);
+              BasicCensusWorker<gstore::GraphView> cgraph_worker(view, config,
+                                                                 metrics);
+              ReferenceCensus reference(graph, config);
+              for (NodeId start : input.starts) {
+                CensusResult expected;
+                CensusResult actual;
+                CensusResult actual_cgraph;
+                reference.Run(start, expected);
+                worker.Run(start, actual);
+                cgraph_worker.Run(start, actual_cgraph);
+                ExpectIdenticalResults(expected, actual,
+                                       Describe(start, config));
+                ExpectIdenticalResults(expected, actual_cgraph,
+                                       "cgraph " + Describe(start, config));
+
+                // Budget truncation mid-run: both enumerators must stop at
+                // the same subgraph, making truncation order-sensitive proof
+                // of identical enumeration order. Also the degenerate budget
+                // of 1, and budgets late in the run, where leaf groups are.
+                const int64_t total = expected.total_subgraphs;
+                if (total < 2) continue;
+                for (int64_t budget :
+                     {int64_t{1}, total / 3 + 1, total / 2 + 1,
+                      total - total / 8, total - 1}) {
+                  CensusConfig truncated_config = config;
+                  truncated_config.max_subgraphs = budget;
+                  CensusWorker truncated_worker(graph, truncated_config,
+                                                metrics);
+                  BasicCensusWorker<gstore::GraphView> truncated_cgraph(
+                      view, truncated_config, metrics);
+                  ReferenceCensus truncated_reference(graph, truncated_config);
+                  CensusResult expected_truncated;
+                  CensusResult actual_truncated;
+                  CensusResult cgraph_truncated;
+                  truncated_reference.Run(start, expected_truncated);
+                  truncated_worker.Run(start, actual_truncated);
+                  truncated_cgraph.Run(start, cgraph_truncated);
+                  // A budget below the total stops the reference, unless the
+                  // last grouped run carried the count from under the budget
+                  // to the full total.
+                  EXPECT_TRUE(expected_truncated.truncated ||
+                              expected_truncated.total_subgraphs == total)
+                      << Describe(start, truncated_config);
+                  ExpectIdenticalResults(expected_truncated, actual_truncated,
+                                         Describe(start, truncated_config));
+                  ExpectIdenticalResults(
+                      expected_truncated, cgraph_truncated,
+                      "cgraph " + Describe(start, truncated_config));
+                }
+              }
             }
           }
         }
       }
     }
+  }
+  const util::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_GT(snapshot.Counter("census.leaf_groups"), 0);
+  EXPECT_GT(snapshot.Counter("census.leaf_group_fallbacks"), 0);
+  EXPECT_GT(snapshot.Counter("census.label_group_saved"), 0);
+  int64_t by_edges = 0;
+  for (int k = 1; k <= 5; ++k) {
+    by_edges += snapshot.Counter("census.subgraphs.edges_" + std::to_string(k));
+  }
+  EXPECT_EQ(by_edges, snapshot.Counter("census.subgraphs_total"));
+}
+
+// A graph that requests stop on its `fire_at`-th adjacency read, so a
+// census over it stops at a fixed point mid-enumeration.
+class StopOnRead {
+ public:
+  StopOnRead(const HetGraph& graph, util::StopSource& source, int64_t fire_at)
+      : graph_(graph), source_(source), fire_at_(fire_at) {}
+
+  NodeId num_nodes() const { return graph_.num_nodes(); }
+  int num_labels() const { return graph_.num_labels(); }
+  Label label(NodeId v) const { return graph_.label(v); }
+  int degree(NodeId v) const { return graph_.degree(v); }
+  std::span<const NodeId> neighbors(NodeId v) const {
+    if (++reads_ == fire_at_) source_.RequestStop();
+    return graph_.neighbors(v);
+  }
+
+ private:
+  const HetGraph& graph_;
+  util::StopSource& source_;
+  int64_t fire_at_;
+  mutable int64_t reads_ = 0;
+};
+
+// A StopToken that fires in the middle of a census, where most of the work
+// is leaf groups, stops it with partial counts, and the worker's next
+// census is exact.
+TEST(CensusDifferentialTest, StopMidCensusLeavesWorkerReusable) {
+  const HetGraph graph = data::MakeNetwork(data::LoadLikeSchema(0.1), 7);
+  CensusConfig config;
+  config.max_edges = 5;
+  config.max_degree = 12;
+  util::MetricsRegistry registry;
+  util::StopSource source;
+  StopOnRead stopping(graph, source, 200);
+  BasicCensusWorker<StopOnRead> worker(
+      stopping, config, CensusMetrics::Register(registry, config.max_edges));
+  ReferenceCensus reference(graph, config);
+  const std::vector<NodeId> starts = {74, 222, 259};
+  for (NodeId start : starts) {
+    ASSERT_LE(graph.degree(start), 6);
+  }
+
+  CensusResult expected;
+  reference.Run(starts[0], expected);
+  CensusResult stopped;
+  worker.Run(starts[0], stopped, source.Token());
+  EXPECT_TRUE(stopped.stopped);
+  EXPECT_GT(stopped.total_subgraphs, 0);
+  EXPECT_LT(stopped.total_subgraphs, expected.total_subgraphs);
+  const util::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Counter("census.stopped_nodes"), 1);
+  EXPECT_GT(snapshot.Counter("census.leaf_groups"), 0);
+
+  for (NodeId start : starts) {
+    CensusResult want;
+    CensusResult got;
+    reference.Run(start, want);
+    worker.Run(start, got);
+    ExpectIdenticalResults(want, got, "after stop " + Describe(start, config));
   }
 }
 
@@ -811,6 +966,47 @@ TEST(CensusDifferentialTest, CompressedGraphMatchesCsrAcrossModes) {
   }
 }
 
+// The census micro-benchmark's workload — LOAD-like graph, emax 5, dmax 40,
+// 128 sampled roots, hubs included — on the CSR and on a compressed copy
+// read through the default cache: every root's count map must match, not
+// just the subgraph totals.
+TEST(CensusDifferentialTest, CompressedGraphMatchesCsrOnLoadLikeWorkload) {
+  const HetGraph graph = data::MakeNetwork(data::LoadLikeSchema(0.25), 5);
+  const std::string path = ::testing::TempDir() + "census_diff_load.hscg";
+  gstore::CGraphError error;
+  ASSERT_TRUE(gstore::WriteCompressedGraph(path, graph, &error))
+      << error.ToString();
+  auto compressed = gstore::CompressedGraph::Open(path, {}, &error);
+  ASSERT_NE(compressed, nullptr) << error.ToString();
+  gstore::GraphView view = compressed->MakeView();
+
+  CensusConfig config;
+  config.max_edges = 5;
+  config.max_degree = 40;
+  util::MetricsRegistry registry;
+  const CensusMetrics metrics = CensusMetrics::Register(registry, 5);
+  CensusWorker csr_worker(graph, config, metrics);
+  BasicCensusWorker<gstore::GraphView> cgraph_worker(view, config);
+  util::Rng rng(123);
+  int64_t total = 0;
+  for (int sampled = 0; sampled < 128;) {
+    const NodeId start =
+        static_cast<NodeId>(rng.UniformInt(graph.num_nodes()));
+    if (graph.degree(start) == 0) continue;
+    ++sampled;
+    CensusResult expected;
+    CensusResult actual;
+    csr_worker.Run(start, expected);
+    cgraph_worker.Run(start, actual);
+    ExpectIdenticalResults(expected, actual, "cgraph " + Describe(start, config));
+    total += expected.total_subgraphs;
+  }
+  EXPECT_GT(total, 0);
+  EXPECT_GT(registry.Snapshot().Counter("census.leaf_groups"), 0);
+  compressed.reset();
+  std::remove(path.c_str());
+}
+
 TEST(CensusDifferentialTest, CompressedDirectedGraphMatchesCsrAcrossModes) {
   util::Rng rng(86280201);
   const std::string path = ::testing::TempDir() + "census_diff_directed.hscg";
@@ -897,8 +1093,9 @@ TEST(CensusDifferentialTest, CompressedDirectedGraphMatchesCsrAcrossModes) {
 //
 // The SIMD kernel layer (src/simd) claims bit-identity between its scalar
 // reference and every vector level. simd_test pins the kernels in isolation;
-// these tests pin the composition: a census run on the scalar ISA must
-// equal a census run on the detected (best vector) kernels —
+// these tests pin the composition, where the census sorts each encoding it
+// keeps with compare_bytes: a census run on the scalar ISA must equal a
+// census run on the detected (best vector) kernels —
 // same counts, same enumeration order (budget-probed), same encodings — for
 // undirected and directed workers, over CSR and paged cgraph storage. On a
 // machine (or HSGF_SIMD=OFF build) where only kScalar exists, both sides pin
@@ -957,12 +1154,6 @@ TEST(CensusDifferentialTest, ForcedScalarMatchesForcedVectorUndirected) {
         config.group_by_label = group;
         config.mix_contributions = true;
         config.keep_encodings = true;
-        // These graphs are far too small to reach the production threshold,
-        // so force every grouping run through the kernels under the vector
-        // pin — that is the path under test. Under the scalar pin the census
-        // keeps the scan inline whatever the threshold says, so the scalar
-        // side is the inline loop; simd_test checks the scalar kernel.
-        config.vector_scan_min = 1;
 
         for (NodeId start :
              PickStarts(num_nodes, [&](NodeId v) { return graph.degree(v); },
@@ -989,8 +1180,7 @@ TEST(CensusDifferentialTest, ForcedScalarMatchesForcedVectorUndirected) {
           ExpectIdenticalResults(scalar_csr, scalar_cg, "isa cgraph scalar");
           ExpectIdenticalResults(scalar_csr, vector_cg, "isa cgraph vector");
 
-          // Budget truncation probes enumeration order across ISA levels:
-          // the vectorized run scan must not reorder candidates.
+          // Budget truncation probes enumeration order across ISA levels.
           if (scalar_csr.total_subgraphs < 2) continue;
           CensusConfig truncated_config = config;
           truncated_config.max_subgraphs = scalar_csr.total_subgraphs / 2 + 1;

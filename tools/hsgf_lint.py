@@ -628,7 +628,7 @@ def self_test():
             "uint8x16_t v = vld1q_u8(p);\n"),
         REPO_ROOT / "src/core/a.cc": (
             "// _mm256_cmpeq_epi8 is only mentioned in a comment\n"
-            "k.label_run_length(to, label, n, run_label, m, nm);\n"),
+            "k.compare_bytes(a, b, n);\n"),
     })
     failing(rule_raw_intrinsics, {
         REPO_ROOT / "src/core/a.cc": "#include <immintrin.h>\n",
