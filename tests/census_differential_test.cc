@@ -432,6 +432,8 @@ void ExpectIdenticalResults(const CensusResult& expected,
 
 std::string Describe(NodeId start, const CensusConfig& config) {
   return "start=" + std::to_string(start) +
+         " emax=" + std::to_string(config.max_edges) +
+         " keep=" + std::to_string(config.keep_encodings) +
          " dmax=" + std::to_string(config.max_degree) +
          " mask=" + std::to_string(config.mask_start_label) +
          " group=" + std::to_string(config.group_by_label) +
