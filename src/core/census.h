@@ -506,8 +506,9 @@ class BasicCensusWorker {
   // applying one: the children differ only in which same-label node joined,
   // so each leaf hash is the same for all of them. Returns false, having
   // counted nothing, when the count would reach max_subgraphs; the children
-  // then run one by one so truncation stops at the same subgraph. Polls the
-  // StopToken once and sets result.stopped, counting nothing, if it fired.
+  // then run one by one so truncation stops at the same subgraph. Either
+  // way the group's work is charged to the StopToken countdown, so the head
+  // loop polls as soon as a poll interval's worth of group work has passed.
   bool CountLeafGroup(size_t index, int depth, CensusResult& result)
     requires(!DirectedCensusGraph<GraphT>);
 
@@ -937,10 +938,6 @@ void BasicCensusWorker<GraphT>::Extend(size_t seg_begin, size_t seg_end,
     if constexpr (!kDirected) {
       if (leaf_groups && head_is_new_node) {
         children_counted = CountLeafGroup(head_index, depth, result);
-        if (result.stopped) {
-          commit_frame();
-          return;
-        }
       }
     }
     ++head_index;
@@ -1095,10 +1092,6 @@ bool BasicCensusWorker<GraphT>::CountLeafGroup(size_t index, int depth,
   requires(!DirectedCensusGraph<GraphT>)
 {
   HSGF_DCHECK_EQ(depth + 2, config_.max_edges);
-  if (has_stop_ && stop_.StopRequested()) {
-    result.stopped = true;
-    return true;
-  }
   const LeafRun& group = leaf_runs_[index];
   const graph::NodeId f0 = group.from;
   const graph::Label label = group.label;
@@ -1118,13 +1111,20 @@ bool BasicCensusWorker<GraphT>::CountLeafGroup(size_t index, int depth,
   // label, plus the cycle-closing edges into blocked members.
   int64_t frontier = 0;
   int64_t blocked = 0;
+  // The group's work in head-loop steps: one per sibling, per adjacency
+  // entry read and per later head of the frame. Charged to the StopToken
+  // countdown (capped, so one large group brings the next poll forward
+  // without wrapping it).
+  int64_t work = r + static_cast<int64_t>(leaf_runs_.size() - index);
   leaf_cycle_closers_.clear();
   for (const graph::NodeId s : siblings) {
     if (IsBlocked(s)) {
       ++blocked;
       continue;
     }
-    for (const graph::NodeId y : graph_.neighbors(s)) {
+    const auto adjacency = graph_.neighbors(s);
+    work += static_cast<int64_t>(adjacency.size());
+    for (const graph::NodeId y : adjacency) {
       if (!InSubgraph(y)) {
         ++leaf_label_counts_[graph_.label(y)];
         ++frontier;
@@ -1145,6 +1145,10 @@ bool BasicCensusWorker<GraphT>::CountLeafGroup(size_t index, int depth,
   // (B) and its own frontier (C).
   const int64_t rest = group.rest - r;
   const int64_t total = r * (r - 1) / 2 + r * rest + frontier;
+  if (has_stop_) {
+    stop_countdown_ -=
+        static_cast<int>(std::min<int64_t>(work, kStopCheckInterval));
+  }
   if (config_.max_subgraphs > 0 &&
       result.total_subgraphs + total >= config_.max_subgraphs) {
     std::fill(leaf_label_counts_.begin(), leaf_label_counts_.end(), 0);

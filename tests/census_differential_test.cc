@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <set>
@@ -511,6 +512,13 @@ TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
   const std::string path = ::testing::TempDir() + "census_diff_modes.hscg";
   util::MetricsRegistry registry;
   const CensusMetrics metrics = CensusMetrics::Register(registry, 5);
+  // Reference reruns per budget slot, and how many of them the budget
+  // stopped. A rerun whose last grouped run carries the count from under
+  // the budget to the full total is not stopped, so past the budget of 1 the
+  // check is that every slot stops some reruns, not that each rerun stops.
+  constexpr int kBudgetSlots = 5;
+  std::array<int64_t, kBudgetSlots> budget_reruns{};
+  std::array<int64_t, kBudgetSlots> budget_truncations{};
   for (const UndirectedCase& input : UndirectedCases()) {
     SCOPED_TRACE(input.name);
     const HetGraph& graph = input.graph;
@@ -563,11 +571,12 @@ TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
                 // of 1, and budgets late in the run, where leaf groups are.
                 const int64_t total = expected.total_subgraphs;
                 if (total < 2) continue;
-                for (int64_t budget :
-                     {int64_t{1}, total / 3 + 1, total / 2 + 1,
-                      total - total / 8, total - 1}) {
+                const std::array<int64_t, kBudgetSlots> budgets = {
+                    1, total / 3 + 1, total / 2 + 1, total - total / 8,
+                    total - 1};
+                for (int slot = 0; slot < kBudgetSlots; ++slot) {
                   CensusConfig truncated_config = config;
-                  truncated_config.max_subgraphs = budget;
+                  truncated_config.max_subgraphs = budgets[slot];
                   CensusWorker truncated_worker(graph, truncated_config,
                                                 metrics);
                   BasicCensusWorker<gstore::GraphView> truncated_cgraph(
@@ -579,12 +588,15 @@ TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
                   truncated_reference.Run(start, expected_truncated);
                   truncated_worker.Run(start, actual_truncated);
                   truncated_cgraph.Run(start, cgraph_truncated);
-                  // A budget below the total stops the reference, unless the
-                  // last grouped run carried the count from under the budget
-                  // to the full total.
-                  EXPECT_TRUE(expected_truncated.truncated ||
-                              expected_truncated.total_subgraphs == total)
-                      << Describe(start, truncated_config);
+                  // A budget of 1 always stops it: the first head counts at
+                  // least one subgraph, and at emax 2 or more with a total of
+                  // 2 or more another head follows.
+                  if (slot == 0) {
+                    EXPECT_TRUE(expected_truncated.truncated)
+                        << Describe(start, truncated_config);
+                  }
+                  ++budget_reruns[slot];
+                  if (expected_truncated.truncated) ++budget_truncations[slot];
                   ExpectIdenticalResults(expected_truncated, actual_truncated,
                                          Describe(start, truncated_config));
                   ExpectIdenticalResults(
@@ -598,7 +610,18 @@ TEST(CensusDifferentialTest, UndirectedMatchesNaiveReferenceAcrossModes) {
       }
     }
   }
+  int64_t truncations = 0;
+  for (int slot = 0; slot < kBudgetSlots; ++slot) {
+    EXPECT_GT(budget_truncations[slot], 0)
+        << "budget slot " << slot << " never stopped the reference in "
+        << budget_reruns[slot] << " reruns";
+    truncations += budget_truncations[slot];
+  }
   const util::MetricsSnapshot snapshot = registry.Snapshot();
+  // Each truncated reference rerun is matched by a truncated CSR census and
+  // a truncated cgraph census, and only those hit the budget.
+  EXPECT_EQ(snapshot.Counter("census.budget_truncated_nodes"),
+            2 * truncations);
   EXPECT_GT(snapshot.Counter("census.leaf_groups"), 0);
   EXPECT_GT(snapshot.Counter("census.leaf_group_fallbacks"), 0);
   EXPECT_GT(snapshot.Counter("census.label_group_saved"), 0);
@@ -624,6 +647,7 @@ class StopOnRead {
     if (++reads_ == fire_at_) source_.RequestStop();
     return graph_.neighbors(v);
   }
+  int64_t reads() const { return reads_; }
 
  private:
   const HetGraph& graph_;
@@ -633,8 +657,8 @@ class StopOnRead {
 };
 
 // A StopToken that fires in the middle of a census, where most of the work
-// is leaf groups, stops it with partial counts, and the worker's next
-// census is exact.
+// is leaf groups, stops it with partial counts soon after, and the worker's
+// next census is exact.
 TEST(CensusDifferentialTest, StopMidCensusLeavesWorkerReusable) {
   const HetGraph graph = data::MakeNetwork(data::LoadLikeSchema(0.1), 7);
   CensusConfig config;
@@ -642,7 +666,8 @@ TEST(CensusDifferentialTest, StopMidCensusLeavesWorkerReusable) {
   config.max_degree = 12;
   util::MetricsRegistry registry;
   util::StopSource source;
-  StopOnRead stopping(graph, source, 200);
+  constexpr int64_t kFireAt = 50;
+  StopOnRead stopping(graph, source, kFireAt);
   BasicCensusWorker<StopOnRead> worker(
       stopping, config, CensusMetrics::Register(registry, config.max_edges));
   ReferenceCensus reference(graph, config);
@@ -656,6 +681,10 @@ TEST(CensusDifferentialTest, StopMidCensusLeavesWorkerReusable) {
   CensusResult stopped;
   worker.Run(starts[0], stopped, source.Token());
   EXPECT_TRUE(stopped.stopped);
+  // The census polls at least once per 1024 steps of work, leaf groups
+  // included (each charges its siblings' adjacency reads), so the stop is
+  // seen well within 1024 further reads; this census reads ~1600 in all.
+  EXPECT_LT(stopping.reads() - kFireAt, 1024);
   EXPECT_GT(stopped.total_subgraphs, 0);
   EXPECT_LT(stopped.total_subgraphs, expected.total_subgraphs);
   const util::MetricsSnapshot snapshot = registry.Snapshot();
