@@ -576,30 +576,41 @@ TEST(CGraphExtractionTest, MatchesCsrExtractionIncludingMultiThread) {
   std::vector<NodeId> nodes;
   for (NodeId v = 0; v < graph.num_nodes(); ++v) nodes.push_back(v);
 
-  for (unsigned threads : {1u, 4u}) {
-    core::ExtractorConfig config;
-    config.census.max_edges = 4;
-    config.census.keep_encodings = true;
-    config.dmax_percentile = 90.0;
-    config.num_threads = threads;
+  // Without encodings the census counts each grouped run's leaves in one
+  // pass (the aggregated last edge); with them it runs child by child. The
+  // per-thread views share one cache either way.
+  for (bool keep : {true, false}) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("keep_encodings=" + std::to_string(keep) +
+                   " threads=" + std::to_string(threads));
+      core::ExtractorConfig config;
+      config.census.max_edges = 4;
+      config.census.keep_encodings = keep;
+      config.dmax_percentile = 90.0;
+      config.num_threads = threads;
 
-    core::Extractor csr_extractor(graph, config);
-    core::ExtractionResult expected = csr_extractor.Run(nodes);
+      core::Extractor csr_extractor(graph, config);
+      core::ExtractionResult expected = csr_extractor.Run(nodes);
 
-    core::BasicExtractor<CompressedGraph> cgraph_extractor(*compressed,
-                                                           config);
-    core::ExtractionResult actual = cgraph_extractor.Run(nodes);
+      core::BasicExtractor<CompressedGraph> cgraph_extractor(*compressed,
+                                                             config);
+      core::ExtractionResult actual = cgraph_extractor.Run(nodes);
 
-    EXPECT_EQ(actual.total_subgraphs, expected.total_subgraphs);
-    EXPECT_EQ(actual.effective_dmax, expected.effective_dmax);
-    ASSERT_EQ(actual.features.feature_hashes, expected.features.feature_hashes)
-        << "threads=" << threads;
-    ASSERT_EQ(actual.features.matrix.rows(), expected.features.matrix.rows());
-    ASSERT_EQ(actual.features.matrix.cols(), expected.features.matrix.cols());
-    for (int r = 0; r < expected.features.matrix.rows(); ++r) {
-      for (int c = 0; c < expected.features.matrix.cols(); ++c) {
-        ASSERT_EQ(actual.features.matrix(r, c), expected.features.matrix(r, c))
-            << "threads=" << threads << " r=" << r << " c=" << c;
+      EXPECT_EQ(actual.metrics.Counter("census.leaf_groups") > 0, !keep);
+      EXPECT_EQ(actual.metrics.Counter("census.leaf_groups"),
+                expected.metrics.Counter("census.leaf_groups"));
+      EXPECT_EQ(actual.total_subgraphs, expected.total_subgraphs);
+      EXPECT_EQ(actual.effective_dmax, expected.effective_dmax);
+      ASSERT_EQ(actual.features.feature_hashes,
+                expected.features.feature_hashes);
+      ASSERT_EQ(actual.features.matrix.rows(), expected.features.matrix.rows());
+      ASSERT_EQ(actual.features.matrix.cols(), expected.features.matrix.cols());
+      for (int r = 0; r < expected.features.matrix.rows(); ++r) {
+        for (int c = 0; c < expected.features.matrix.cols(); ++c) {
+          ASSERT_EQ(actual.features.matrix(r, c),
+                    expected.features.matrix(r, c))
+              << "r=" << r << " c=" << c;
+        }
       }
     }
   }
