@@ -42,11 +42,12 @@ struct ExtractorConfig {
   // censuses around one hub can find its adjacency still cached (with paged
   // storage, its blocks still pinned). On the census with the aggregated
   // last edge it has no measurable effect on the hub-heavy extract
-  // workload: over 16 interleaved pairs of five four-thread Runs, turning
-  // it off changed the median Run by +1.5%, inside the noise (EXPERIMENTS.md
-  // §Aggregated last edge). Pure scheduling: results are keyed by caller
-  // index, so the feature matrix is bit-identical with batching on or off,
-  // at any thread count (differential-tested).
+  // workload: over 16 interleaved pairs of five four-thread Runs, the
+  // median per-pair off/on ratio was 1.015 and the median Run 0.407 s on vs
+  // 0.405 s off, inside the noise (EXPERIMENTS.md §Aggregated last edge).
+  // Pure scheduling: results are keyed by caller index, so the feature
+  // matrix is bit-identical with batching on or off, at any thread count
+  // (differential-tested).
   bool batch_roots = true;
 
   FeatureBuildOptions features;
